@@ -11,8 +11,8 @@ and fails (exit 1) when:
   the gate), or
 * a **floor** metric fell below its required absolute value.  Floors
   are baseline-independent: they gate *ratios measured within one run*
-  (the flat datapath's speedup over the legacy pipeline), so they hold
-  on any machine, including the single-vCPU CI runner.
+  (the flat batch datapath's speedup over the scalar lookup), so they
+  hold on any machine, including the single-vCPU CI runner.
 
 Metrics missing from the *baseline* are reported as skipped, never
 failed — so new benches can land before their baseline is committed, and
@@ -35,7 +35,7 @@ commit it as the new baseline::
     PYTHONPATH=src python -m repro.cli shard-bench --smoke --json
     PYTHONPATH=src python -m repro.cli metrics --smoke
     PYTHONPATH=src python benchmarks/bench_backend_ablation.py --smoke
-    PYTHONPATH=src python -m repro.cli flat-bench --smoke --jit --json
+    PYTHONPATH=src python -m repro.cli flat-bench --smoke --json
     PYTHONPATH=src python benchmarks/bench_store.py --smoke
     PYTHONPATH=src python -m repro.cli replicate --smoke --json
     cp results/serve_bench.json results/shard_bench.json \
@@ -89,13 +89,12 @@ CHECKS: List[Tuple[str, str, str, float]] = [
      "throughput", 0.0),
     # The flat datapath's acceptance bars (docs/DATAPATH.md): absolute
     # throughput against the committed envelope, plus the same-run
-    # speedup ratios as machine-independent floors.  The numpy pipeline
-    # must hold >= 2x legacy everywhere; the JIT kernel must hold >= 3x
-    # wherever numba is installed (``flat-bench`` omits jit_vs_legacy
-    # otherwise, so the floor skips as "not measured" instead of lying).
+    # speedup over the scalar lookup on the same keys as a
+    # machine-independent floor.  24.1 is twice the lowest legacy/scalar
+    # ratio measured before the legacy pipeline was removed (12.03), so
+    # it is as strict as the retired flat_vs_legacy >= 2 floor.
     ("flat_bench.json", "flat_klookups_per_sec", "throughput", 0.0),
-    ("flat_bench.json", "flat_vs_legacy", "floor", 2.0),
-    ("flat_bench.json", "jit_vs_legacy", "floor", 3.0),
+    ("flat_bench.json", "flat_vs_scalar", "floor", 24.1),
     # Persistence acceptance bars (docs/PERSISTENCE.md): booting from
     # the mmap checkpoint + tail replay must beat a full recompile by a
     # same-run margin, and the recovered router's first batch must be
@@ -130,7 +129,7 @@ REFRESH_COMMANDS: Dict[str, str] = {
     "backend_ablation.json":
         "PYTHONPATH=src python benchmarks/bench_backend_ablation.py --smoke",
     "flat_bench.json":
-        "PYTHONPATH=src python -m repro.cli flat-bench --smoke --jit --json",
+        "PYTHONPATH=src python -m repro.cli flat-bench --smoke --json",
     "store_bench.json":
         "PYTHONPATH=src python benchmarks/bench_store.py --smoke",
     "replicate.json":
@@ -353,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "  PYTHONPATH=src python -m repro.cli metrics --smoke\n"
             "  PYTHONPATH=src python benchmarks/bench_backend_ablation.py"
             " --smoke\n"
-            "  PYTHONPATH=src python -m repro.cli flat-bench --smoke --jit"
+            "  PYTHONPATH=src python -m repro.cli flat-bench --smoke"
             " --json\n"
             "  PYTHONPATH=src python benchmarks/bench_store.py --smoke\n"
             "  PYTHONPATH=src python -m repro.cli replicate --smoke"

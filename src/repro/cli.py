@@ -41,8 +41,6 @@ def _config_for(table, args) -> ChiselConfig:
     return ChiselConfig(
         width=table.width, stride=args.stride, seed=args.seed,
         index_backend=getattr(args, "backend", "bloomier"),
-        datapath=getattr(args, "datapath", "flat"),
-        use_jit=getattr(args, "jit", False),
     )
 
 
@@ -287,14 +285,14 @@ def cmd_shard_bench(args) -> int:
 
 
 def cmd_flat_bench(args) -> int:
-    """Flat-vs-legacy datapath bench plus the zero-divergence gate.
+    """Flat-batch-vs-scalar datapath bench plus the zero-divergence gate.
 
-    Measures best-of-N single-worker batch throughput for the legacy
-    pipeline, the flat numpy pipeline, and (when requested) the JIT
-    kernel, on the same engine and key batch.  The speedup ratios are
-    machine-independent, which is what lets ``benchmarks/regress.py``
-    gate them unconditionally (the ROADMAP's single-vCPU CI note).
-    Exits non-zero on any flat-vs-legacy or flat-vs-scalar divergence.
+    Times the flat batch pipeline and the scalar ``ChiselLPM.lookup``
+    over the same key batch, interleaved round by round, best-of-N for
+    each.  The same-run speedup ratio ``flat_vs_scalar`` is what
+    ``benchmarks/regress.py`` floors: it compares two timings taken in
+    the same run, so it needs no baseline from another machine.  Exits
+    non-zero on any flat-vs-scalar divergence.
     """
     import time
 
@@ -302,13 +300,7 @@ def cmd_flat_bench(args) -> int:
 
     from .analysis.report import format_metrics, save_report
     from .core.batch import BatchLookup
-    from .core.flatpath import jit_available
 
-    # The smoke shape (small table, small batch, extra rounds) is
-    # chosen for *ratio margin* on a noisy single-vCPU runner: small
-    # batches are where the flat pipeline's advantage is largest
-    # (see benchmarks/bench_flat_datapath.py), so host jitter has
-    # ~0.4 of headroom before the regress floor at 2.0 would trip.
     size = 2_000 if args.smoke else args.size
     batch_size = 2_000 if args.smoke else args.batch_size
     repeats = 7 if args.smoke else args.repeats
@@ -320,46 +312,31 @@ def cmd_flat_bench(args) -> int:
         [rng.getrandbits(table.width) for _ in range(batch_size)],
         dtype=np.uint64,
     )
+    key_list = [int(key) for key in keys]
+    flat = BatchLookup(engine)
 
-    variants = {
-        "legacy": BatchLookup(engine, datapath="legacy"),
-        "flat": BatchLookup(engine, datapath="flat", use_jit=False),
-    }
-    jit_present = jit_available()
-    if args.jit:
-        # With numba absent this exercises the graceful fallback: the
-        # use_jit plan must still answer (through the numpy pipeline).
-        variants["jit"] = BatchLookup(engine, datapath="flat", use_jit=True)
+    def scalar() -> list:
+        lookup = engine.lookup
+        return [lookup(key) for key in key_list]
 
-    # The zero-divergence gate: every variant must answer the whole
-    # batch identically, and a sample must match the scalar oracle.
-    reference = variants["legacy"].lookup_batch(keys)
-    divergences = 0
-    for name, lookup in variants.items():
-        if name != "legacy":
-            divergences += int((lookup.lookup_batch(keys)
-                                != reference).sum())
-    sample = min(500, batch_size)
-    for position in range(sample):
-        answer = engine.lookup(int(keys[position]))
-        expected = -1 if answer is None else answer
-        if int(reference[position]) != expected:
-            divergences += 1
+    # The zero-divergence gate: the flat batch must answer every key
+    # exactly as the scalar datapath does.
+    expected = [-1 if answer is None else answer for answer in scalar()]
+    divergences = int((flat.lookup_batch(keys)
+                       != np.array(expected, dtype=np.int64)).sum())
 
-    # Interleave the timing rounds (legacy/flat/jit, legacy/flat/jit,
-    # ...) instead of timing each variant in its own phase: on a busy
-    # single-vCPU runner a transient slowdown then degrades every
-    # variant's round equally and the best-of-N *ratio* stays stable,
-    # which is what the regress floor gates.
-    rates = {name: 0.0 for name in variants}
-    for lookup in variants.values():
-        lookup.lookup_batch(keys)  # warm caches and scratch buffers
+    # Interleave the timing rounds (flat, scalar, flat, scalar, ...)
+    # instead of timing each variant in its own phase: a transient
+    # slowdown on a busy runner then tends to degrade both sides'
+    # rounds alike, and the best-of-N *ratio* moves far less than
+    # either rate.
+    variants = {"flat": lambda: flat.lookup_batch(keys), "scalar": scalar}
+    best = {name: float("inf") for name in variants}
     for _ in range(repeats):
-        for name, lookup in variants.items():
+        for name, run in variants.items():
             started = time.perf_counter()
-            lookup.lookup_batch(keys)
-            elapsed = time.perf_counter() - started
-            rates[name] = max(rates[name], batch_size / elapsed)
+            run()
+            best[name] = min(best[name], time.perf_counter() - started)
 
     payload = {
         "table_size": len(table),
@@ -367,17 +344,11 @@ def cmd_flat_bench(args) -> int:
         "repeats": repeats,
         "backend": args.backend,
         "divergences": divergences,
-        "jit_requested": bool(args.jit),
-        "jit_available": jit_present,
-        "legacy_klookups_per_sec": round(rates["legacy"] / 1000, 1),
-        "flat_klookups_per_sec": round(rates["flat"] / 1000, 1),
-        "flat_vs_legacy": round(rates["flat"] / rates["legacy"], 3),
+        "scalar_klookups_per_sec": round(batch_size / best["scalar"] / 1000,
+                                         1),
+        "flat_klookups_per_sec": round(batch_size / best["flat"] / 1000, 1),
+        "flat_vs_scalar": round(best["scalar"] / best["flat"], 3),
     }
-    if args.jit and jit_present:
-        # Omitted entirely when numba is absent so the regress gate's
-        # jit_vs_legacy floor skips as "not measured" instead of lying.
-        payload["jit_klookups_per_sec"] = round(rates["jit"] / 1000, 1)
-        payload["jit_vs_legacy"] = round(rates["jit"] / rates["legacy"], 3)
     rendered = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
         print(rendered)
@@ -387,8 +358,9 @@ def cmd_flat_bench(args) -> int:
         ))
     save_report("flat_bench.json", rendered)
     if divergences:
-        print(f"FAIL: {divergences} divergence(s) between datapaths — "
-              f"the flat pipeline must be bit-exact")
+        print(f"FAIL: {divergences} divergence(s) between the flat batch "
+              f"and the scalar datapath — the flat pipeline must be "
+              f"bit-exact")
         return 1
     return 0
 
@@ -766,13 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=["bloomier", "fuse"],
                        default="bloomier",
                        help="Index Table construction (docs/BACKENDS.md)")
-        p.add_argument("--datapath", choices=["flat", "legacy"],
-                       default="flat",
-                       help="batch-lookup pipeline (docs/DATAPATH.md)")
-        p.add_argument("--jit", action="store_true",
-                       help="compile batch lookups with numba when "
-                            "available; silently falls back to the "
-                            "numpy pipeline when it is not")
 
     p = sub.add_parser("generate-table", help="synthesize a BGP-like table")
     p.add_argument("--size", type=int, default=50_000)
@@ -894,15 +859,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "flat-bench",
-        help="flat-vs-legacy datapath throughput + zero-divergence gate "
-             "(docs/DATAPATH.md)",
+        help="flat-batch-vs-scalar datapath throughput + zero-divergence "
+             "gate (docs/DATAPATH.md)",
     )
     p.add_argument("--size", type=int, default=20_000,
                    help="synthetic table size (prefixes)")
     p.add_argument("--batch-size", type=int, default=20_000,
                    help="keys per measured batch")
     p.add_argument("--repeats", type=int, default=5,
-                   help="best-of-N timing passes per datapath")
+                   help="interleaved best-of-N timing passes per datapath")
     p.add_argument("--smoke", action="store_true",
                    help="small fast run with the divergence gate (CI)")
     p.add_argument("--json", action="store_true",

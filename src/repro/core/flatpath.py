@@ -2,39 +2,29 @@
 
 # chisel-analyze-scope: dtype
 
-The legacy ``_SubCellPlan.lookup`` (``core/batch.py``) walks the Fig. 6
-datapath as four separate gathers (Filter value, valid bit, bit-vector,
-Region pointer) plus a per-group Python masking loop over the ``d``
-Index-Table partitions — roughly ten temporary allocations and ``2·d``
-full-batch passes per sub-cell, none of it cache- or allocation-aware.
-This module is the raw-speed rewrite the ROADMAP calls for ("Cache-aware
-data structures for packet forwarding tables", PAPERS.md), mirroring how
-Chisel §4.3's on-chip datapath co-locates Filter/bit-vector/Region state
-per bucket:
+``BatchLookup`` compiles every engine sub-cell straight into one
+:class:`FlatSubCellPlan`, the batch form of the Fig. 6 datapath.  It
+follows "Cache-aware data structures for packet forwarding tables"
+(PAPERS.md) and mirrors how Chisel §4.3's on-chip datapath co-locates
+Filter/bit-vector/Region state per bucket:
 
 * **Fused records** — one 64-byte row per bucket pointer (8 uint64
   lanes: Filter value, valid flag, bit-vector, Region pointer, four
   reserved), base-aligned to a cache line.  The whole post-decode half
-  of the datapath becomes a single gather: one random access touches
-  one cache line instead of four (one per separate table).
+  of the datapath is a single gather: one random access touches one
+  cache line instead of four (one per separate table).
 * **One-pass decode** — every partition group's hash byte-tables are
   concatenated into ``(k, nb, d·256)`` arrays addressed by
   ``(group << 8) | byte`` and the group Index-Table words into one flat
-  array with per-group offsets, so the partition routing that used to
-  be a ``d``-iteration masking loop is just part of the gather index.
+  array with per-group offsets, so partition routing is part of the
+  gather index instead of a ``d``-iteration masking loop.
 * **Allocation-free pipeline** — every intermediate lives in a
   per-thread scratch pool (grown geometrically, reused across batches);
   the only steady-state allocations left are numpy's internal index
   casts.
-* **Optional JIT kernel** — a per-key scalar kernel (the whole sub-cell
-  datapath in one loop) compiled with numba when the dependency is
-  present and ``ChiselConfig.use_jit`` asks for it; the same function
-  runs interpreted as a pure-Python mirror, which is how the
-  differential suite pins its semantics even on numba-less boxes.
 
-The flat plan is bit-exact with the legacy plan and the scalar datapath
-(``tests/test_flat_differential.py`` is the gate) and is what
-``BatchLookup`` compiles by default (``ChiselConfig.datapath``).
+The plan is bit-exact with the scalar datapath
+(``tests/test_batch_differential.py`` is the gate).
 """
 
 from __future__ import annotations
@@ -118,11 +108,10 @@ def scratch() -> _ScratchPool:
 
 
 def popcount64(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """SWAR popcount over uint64, writing into ``out`` when given.
+    """SWAR popcount over uint64 (numpy lacks a builtin).
 
-    The allocation-free twin of ``core.batch._popcount64``: with ``out``
-    (and a caller-provided scratch for the shifted halves) the whole
-    fold runs in place.
+    Writes into ``out`` when given; the shifted halves live in this
+    thread's scratch pool, so the whole fold runs in place.
     """
     if out is None:
         out = values.copy()
@@ -154,16 +143,14 @@ def build_records(subcell) -> np.ndarray:
     the lane layout.  Region pointers are stored as their int64 bit
     pattern so a (test-injected) negative pointer round-trips exactly.
     """
-    capacity = subcell.capacity
-    records = aligned_zeros((capacity, RECORD_WIDTH), dtype=np.uint64)
-    records[:, RECORD_LANES["filter"]] = [
-        np.uint64(value) if value is not None else np.uint64(0)
-        for value in subcell.filter_table
-    ]
-    records[:, RECORD_LANES["valid"]] = [
-        1 if (value is not None and not dirty) else 0
-        for value, dirty in zip(subcell.filter_table, subcell.dirty_table)
-    ]
+    records = aligned_zeros((subcell.capacity, RECORD_WIDTH))
+    records[:, RECORD_LANES["filter"]] = np.array(
+        [0 if value is None else value for value in subcell.filter_table],
+        dtype=np.uint64)
+    records[:, RECORD_LANES["valid"]] = np.array(
+        [value is not None and not dirty
+         for value, dirty in zip(subcell.filter_table, subcell.dirty_table)],
+        dtype=np.uint64)
     records[:, RECORD_LANES["bitvector"]] = np.array(
         subcell.bv_table, dtype=np.uint64)
     records[:, RECORD_LANES["regionptr"]] = np.array(
@@ -171,8 +158,9 @@ def build_records(subcell) -> np.ndarray:
     return records
 
 
-class GroupFusionError(ValueError):
-    """The sub-cell's partition groups cannot be fused into one layout."""
+def _byte_tables(hash_fn, num_bytes: int) -> np.ndarray:
+    """One tabulation hash's first ``num_bytes`` byte tables, (nb, 256)."""
+    return np.array(hash_fn.byte_tables[:num_bytes], dtype=np.uint64)
 
 
 class _FusedIndex:
@@ -294,140 +282,90 @@ class _FusedIndex:
 
     @classmethod
     def fuse(cls, groups: List) -> "_FusedIndex":
-        """Combine compiled group plans (``core.batch`` group plans)."""
-        if not groups:
-            raise GroupFusionError("sub-cell has no partition groups")
-        kinds = {group.kind for group in groups}
-        if len(kinds) != 1:
-            raise GroupFusionError(f"mixed group kinds {sorted(kinds)}")
-        kind = kinds.pop()
-        hash_counts = {len(group.hashes) for group in groups}
-        byte_counts = {
-            len(plan.tables) for group in groups for plan in group.hashes
-        }
-        if len(hash_counts) != 1 or len(byte_counts) != 1:
-            raise GroupFusionError("heterogeneous hash shapes across groups")
-        num_hashes = hash_counts.pop()
-        num_bytes = byte_counts.pop()
+        """Combine one sub-cell's partition groups (``IndexBackend``s).
+
+        ``PartitionedBloomierFilter`` builds all ``d`` groups with one
+        ``make_backend`` call, so they share kind, hash count and key
+        width; the first group sets the shape.
+        """
+        first = groups[0]
+        kind = first.kind
         num_groups = len(groups)
-        hash_tables = np.zeros(
-            (num_hashes, num_bytes, num_groups * 256), dtype=np.uint64)
-        for group_index, group in enumerate(groups):
-            lane = slice(group_index * 256, (group_index + 1) * 256)
-            for hash_index, plan in enumerate(group.hashes):
-                for byte_index, byte_table in enumerate(plan.tables):
-                    hash_tables[hash_index, byte_index, lane] = byte_table
-        table = np.concatenate([group.table for group in groups])
-        offsets = np.zeros(num_groups, dtype=np.uint64)
-        position = 0
-        for group_index, group in enumerate(groups):
-            offsets[group_index] = position
-            position += len(group.table)
         if kind == "fuse":
-            if {len(group.start_hash.tables) for group in groups} != {num_bytes}:
-                raise GroupFusionError("start-hash byte count mismatch")
-            start_tables = np.zeros(
-                (num_bytes, num_groups * 256), dtype=np.uint64)
-            for group_index, group in enumerate(groups):
-                lane = slice(group_index * 256, (group_index + 1) * 256)
-                for byte_index, byte_table in enumerate(
-                        group.start_hash.tables):
-                    start_tables[byte_index, lane] = byte_table
+            hash_lists = [group.offset_hashes for group in groups]
+            num_bytes = (first.key_bits + 7) // 8
             segments = np.array(
                 [group.segment_length for group in groups], dtype=np.uint64)
-            start_ranges = np.array(
-                [group.start_range for group in groups], dtype=np.uint64)
+        else:
+            hash_lists = [group.hash_group.hashes for group in groups]
+            num_bytes = (first.hash_group.key_bits + 7) // 8
+            segments = np.array(
+                [group.hash_group.segment_size for group in groups],
+                dtype=np.uint64)
+        num_hashes = len(hash_lists[0])
+        hash_tables = np.zeros(
+            (num_hashes, num_bytes, num_groups * 256), dtype=np.uint64)
+        for group_index, hashes in enumerate(hash_lists):
+            lane = slice(group_index * 256, (group_index + 1) * 256)
+            for hash_index, hash_fn in enumerate(hashes):
+                hash_tables[hash_index, :, lane] = _byte_tables(
+                    hash_fn, num_bytes)
+        words = [np.array(group.table, dtype=np.uint64) for group in groups]
+        table = np.concatenate(words)
+        offsets = np.cumsum(
+            [0] + [len(group_words) for group_words in words[:-1]]
+        ).astype(np.uint64)
+        if kind != "fuse":
             return cls(kind, num_hashes, num_bytes, num_groups, hash_tables,
-                       table, offsets, segments, start_tables, start_ranges)
-        segments = np.array(
-            [group.segment_size for group in groups], dtype=np.uint64)
+                       table, offsets, segments)
+        start_tables = np.zeros((num_bytes, num_groups * 256), dtype=np.uint64)
+        for group_index, group in enumerate(groups):
+            lane = slice(group_index * 256, (group_index + 1) * 256)
+            start_tables[:, lane] = _byte_tables(group.start_hash, num_bytes)
+        start_ranges = np.array(
+            [group.start_range for group in groups], dtype=np.uint64)
         return cls(kind, num_hashes, num_bytes, num_groups, hash_tables,
-                   table, offsets, segments)
+                   table, offsets, segments, start_tables, start_ranges)
 
 
 class FlatSubCellPlan:
     """One sub-cell's datapath over fused records + combined group tables.
 
-    Construct with :meth:`compile` (from a legacy ``_SubCellPlan``) or
-    rebuild field-by-field via ``__new__`` (the shard codec's path).
-    Exposes the legacy plan's table attributes (``filter_values``,
-    ``filter_valid``, ``bit_vectors``, ``region_ptr``) as views/properties
-    over the record table so callers and tests address either layout
-    uniformly.
+    Construct with :meth:`compile` (from an engine sub-cell) or rebuild
+    field-by-field via ``__new__`` (the shard codec's attach path).
     """
-
-    kind = "flat"
 
     __slots__ = (
         "base", "span", "width", "capacity", "partitions", "checksum",
         "fused", "records", "arena", "arena_size", "spill_keys",
-        "spill_values", "use_jit",
+        "spill_values",
     )
 
     @classmethod
-    def compile(cls, legacy, use_jit: bool = False) -> "FlatSubCellPlan":
-        """Fuse a compiled legacy ``_SubCellPlan`` into the flat layout."""
+    def compile(cls, subcell, width: int) -> "FlatSubCellPlan":
+        """Compile one engine sub-cell into the flat layout."""
         plan = cls.__new__(cls)
-        plan.base = legacy.base
-        plan.span = legacy.span
-        plan.width = legacy.width
-        plan.capacity = legacy.capacity
-        plan.partitions = np.uint64(legacy.partitions)
-        plan.checksum = _stacked(legacy.checksum.tables)
-        plan.fused = _FusedIndex.fuse(legacy.groups)
-        records = aligned_zeros((legacy.capacity, RECORD_WIDTH))
-        records[:, RECORD_LANES["filter"]] = legacy.filter_values
-        records[:, RECORD_LANES["valid"]] = legacy.filter_valid
-        records[:, RECORD_LANES["bitvector"]] = legacy.bit_vectors
-        records[:, RECORD_LANES["regionptr"]] = (
-            legacy.region_ptr.astype(np.int64).view(np.uint64))
-        plan.records = records
-        plan.arena = legacy.arena
-        plan.arena_size = legacy.arena_size
-        plan.spill_keys = legacy.spill_keys
-        plan.spill_values = legacy.spill_values
-        plan.use_jit = bool(use_jit)
+        plan.base = subcell.base
+        plan.span = subcell.span
+        plan.width = width
+        plan.capacity = subcell.capacity
+        index = subcell.index
+        plan.partitions = np.uint64(index.partitions)
+        plan.checksum = _byte_tables(
+            index.checksum_hash, (max(1, subcell.base) + 7) // 8)
+        plan.fused = _FusedIndex.fuse(index.groups)
+        plan.records = build_records(subcell)
+        arena = subcell.result.arena
+        plan.arena_size = len(arena)
+        # Keep one placeholder entry so gathers stay legal on an empty
+        # arena; ``arena_size`` (not the array length) bounds validity.
+        plan.arena = np.array(arena if arena else [0], dtype=np.int64)
+        spill_items = sorted(index.spillover)
+        plan.spill_keys = np.array(
+            [key for key, _value in spill_items], dtype=np.uint64)
+        plan.spill_values = np.array(
+            [value for _key, value in spill_items], dtype=np.uint64)
         return plan
-
-    # -- legacy-layout views --------------------------------------------------
-
-    @property
-    def filter_values(self) -> np.ndarray:
-        return self.records[:, RECORD_LANES["filter"]]
-
-    @property
-    def filter_valid(self) -> np.ndarray:
-        return self.records[:, RECORD_LANES["valid"]] != 0
-
-    @property
-    def bit_vectors(self) -> np.ndarray:
-        return self.records[:, RECORD_LANES["bitvector"]]
-
-    @property
-    def region_ptr(self) -> np.ndarray:
-        return self.records.view(np.int64)[:, RECORD_LANES["regionptr"]]
-
-    @region_ptr.setter
-    def region_ptr(self, values) -> None:
-        # Tests corrupt pointers through this attribute on both layouts;
-        # the flat layout routes the write into the fused record lane.
-        self.records[:, RECORD_LANES["regionptr"]] = np.asarray(
-            values, dtype=np.int64).view(np.uint64)
-
-    # -- the datapath ---------------------------------------------------------
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Next hops for a key batch; -1 marks misses.
-
-        Returns a scratch-backed array valid until this thread's next
-        ``lookup`` call — callers (``BatchLookup.lookup_batch``) consume
-        it before probing the next sub-cell.
-        """
-        if self.use_jit:
-            jit = _jit_kernels()
-            if jit is not None:
-                return self._lookup_kernel(keys, jit)
-        return self._lookup_numpy(keys)
 
     def _collapse(self, keys: np.ndarray, pool: _ScratchPool) -> np.ndarray:
         collapsed = pool.get("collapsed", keys.size, np.uint64)
@@ -547,7 +485,7 @@ class FlatSubCellPlan:
             if fused.kind == "fuse":
                 # slot = (start + i) * segment_length + offset_hash + base;
                 # the product stays far below 2**64 (tables are megabytes,
-                # not exabytes) exactly as in the per-group decode.
+                # not exabytes).
                 np.add(start, np.uint64(hash_index), out=word)
                 np.multiply(  # chisel: noqa[ANZ302]
                     word,
@@ -590,7 +528,13 @@ class FlatSubCellPlan:
             np.bitwise_xor(pointers, word, out=pointers)
         return pointers
 
-    def _lookup_numpy(self, keys: np.ndarray) -> np.ndarray:
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Next hops for a key batch; -1 marks misses.
+
+        Returns a scratch-backed array valid until this thread's next
+        ``lookup`` call — callers (``BatchLookup.lookup_batch``) consume
+        it before probing the next sub-cell.
+        """
         pool = scratch()
         size = keys.size
         collapsed = self._collapse(keys, pool)
@@ -672,200 +616,3 @@ class FlatSubCellPlan:
         self.arena.take(address, out=answers)
         np.copyto(answers, _MISS, where=invalid)
         return answers
-
-    def _lookup_kernel(self, keys: np.ndarray, jit) -> np.ndarray:
-        pool = scratch()
-        answers = pool.get("answers", keys.size, np.int64)
-        args = (
-            np.ascontiguousarray(keys), answers,
-            np.uint64(self.width - self.base if self.base < self.width
-                      else 0),
-            np.uint64(1 if self.base else 0),
-            self.checksum, self.partitions,
-            self.fused.hash_tables, self.fused.offsets,
-            self.fused.segments, self.fused.table,
-            self.records.reshape(-1), np.uint64(self.capacity),
-            np.uint64(self.width - self.base - self.span),
-            np.uint64((1 << self.span) - 1 if self.span else 0),
-            self.arena, np.int64(self.arena_size),
-            self.spill_keys, self.spill_values,
-        )
-        if self.fused.kind == "fuse":
-            jit["fuse"](*args, self.fused.start_tables,
-                        self.fused.start_ranges)
-        else:
-            jit["bloomier"](*args)
-        return answers
-
-
-def _stacked(tables: List[np.ndarray]) -> np.ndarray:
-    """Byte tables as one (nb, 256) array (kernel-friendly shape)."""
-    return np.ascontiguousarray(np.stack(tables))
-
-
-# -- the scalar kernel (numba-compiled when available) ------------------------
-#
-# One loop over the batch, the whole Fig. 6 datapath per key.  The same
-# function runs interpreted as the pure-Python mirror: the differential
-# suite pins the JIT semantics even where numba is not installed.
-# ``_make_kernels`` builds both flavors from one body — the decorator is
-# either ``numba.njit`` or the identity — so the mirror and the compiled
-# kernel can never drift apart.
-
-def _kernel_body(keys, out, collapse_shift, has_base, checksum_tables,
-                 partitions, hash_tables, offsets, segments, table,
-                 records, capacity, expansion_shift, span_mask, arena,
-                 arena_size, spill_keys, spill_values, start_tables,
-                 start_ranges, is_fuse):
-    """Shared per-key datapath; specialized by the two wrappers below.
-
-    Written in numba's nopython subset: scalar loops, explicit uint64 /
-    int64 casts (numba promotes mixed signed/unsigned to float64, so the
-    two domains never meet in one expression), no helpers.
-    """
-    num_hashes = hash_tables.shape[0]
-    num_bytes = hash_tables.shape[1]
-    checksum_bytes = checksum_tables.shape[0]
-    num_spills = len(spill_keys)
-    for position in range(len(keys)):
-        key = keys[position]
-        collapsed = (key >> collapse_shift) * has_base
-        checksum = np.uint64(0)
-        for byte_index in range(checksum_bytes):
-            byte = (collapsed >> np.uint64(8 * byte_index)) & np.uint64(0xFF)
-            checksum ^= checksum_tables[byte_index, np.int64(byte)]
-        group = checksum % partitions
-        group_base = np.int64(group) * np.int64(256)
-        pointer = np.uint64(0)
-        # Spillover TCAM: binary search the sorted exact-match keys.
-        spill_at = -1
-        lo = 0
-        hi = num_spills
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if spill_keys[mid] < collapsed:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < num_spills and spill_keys[lo] == collapsed:
-            spill_at = lo
-        if spill_at >= 0:
-            pointer = spill_values[spill_at]
-        else:
-            segment = segments[np.int64(group)]
-            offset = offsets[np.int64(group)]
-            start = np.uint64(0)
-            if is_fuse:
-                for byte_index in range(num_bytes):
-                    byte = ((collapsed >> np.uint64(8 * byte_index))
-                            & np.uint64(0xFF))
-                    start ^= start_tables[
-                        byte_index, group_base + np.int64(byte)]
-                start %= start_ranges[np.int64(group)]
-            for hash_index in range(num_hashes):
-                acc = np.uint64(0)
-                for byte_index in range(num_bytes):
-                    byte = ((collapsed >> np.uint64(8 * byte_index))
-                            & np.uint64(0xFF))
-                    acc ^= hash_tables[
-                        hash_index, byte_index, group_base + np.int64(byte)]
-                if is_fuse:
-                    slot = (start + np.uint64(hash_index)) * segment + acc  # chisel: noqa[ANZ302]
-                else:
-                    slot = acc % segment + np.uint64(hash_index) * segment  # chisel: noqa[ANZ302]
-                pointer ^= table[np.int64(slot + offset)]
-        if pointer >= capacity:
-            out[position] = -1
-            continue
-        row = np.int64(pointer) * np.int64(8)
-        if records[row] != collapsed or records[row + 1] == np.uint64(0):
-            out[position] = -1
-            continue
-        expansion = (key >> expansion_shift) & span_mask
-        vector = records[row + 2]
-        if (vector >> expansion) & np.uint64(1) == np.uint64(0):
-            out[position] = -1
-            continue
-        below = vector & (np.uint64(0xFFFFFFFFFFFFFFFF)
-                          >> (np.uint64(63) - expansion))
-        rank = np.int64(0)
-        while below != np.uint64(0):
-            below &= below - np.uint64(1)
-            rank += 1
-        region_ptr = np.int64(records[row + 3])
-        address = region_ptr + rank - 1
-        if address < 0 or address >= arena_size:
-            out[position] = -1
-            continue
-        out[position] = arena[address]
-
-
-def _make_kernels(decorate) -> Dict[str, object]:
-    """Both entry kernels built from the shared body.
-
-    ``decorate`` is ``numba.njit(...)`` for the compiled flavor and the
-    identity for the interpreted mirror; everything else is identical,
-    so the two can never drift apart.
-    """
-    body = decorate(_kernel_body)
-
-    def bloomier(keys, out, collapse_shift, has_base, checksum_tables,
-                 partitions, hash_tables, offsets, segments, table,
-                 records, capacity, expansion_shift, span_mask, arena,
-                 arena_size, spill_keys, spill_values):
-        # checksum_tables/segments stand in for the unused fuse-only
-        # arrays purely to keep the body's signature monomorphic.
-        body(keys, out, collapse_shift, has_base, checksum_tables,
-             partitions, hash_tables, offsets, segments, table,
-             records, capacity, expansion_shift, span_mask, arena,
-             arena_size, spill_keys, spill_values,
-             checksum_tables, segments, False)
-
-    def fuse(keys, out, collapse_shift, has_base, checksum_tables,
-             partitions, hash_tables, offsets, segments, table,
-             records, capacity, expansion_shift, span_mask, arena,
-             arena_size, spill_keys, spill_values, start_tables,
-             start_ranges):
-        body(keys, out, collapse_shift, has_base, checksum_tables,
-             partitions, hash_tables, offsets, segments, table,
-             records, capacity, expansion_shift, span_mask, arena,
-             arena_size, spill_keys, spill_values, start_tables,
-             start_ranges, True)
-
-    return {"bloomier": decorate(bloomier), "fuse": decorate(fuse)}
-
-
-_JIT_STATE: Dict[str, object] = {"checked": False, "kernels": None}
-
-
-def jit_available() -> bool:
-    """True when the optional numba dependency imports and compiles."""
-    return _jit_kernels() is not None
-
-
-def _jit_kernels() -> Optional[Dict[str, object]]:
-    """Compiled kernels, or None when numba is absent/broken.
-
-    Compilation happens once per process; any failure (missing package,
-    unsupported numba/numpy pairing) downgrades permanently to the numpy
-    pipeline — the feature flag must never take the datapath down.
-    """
-    if _JIT_STATE["checked"]:
-        return _JIT_STATE["kernels"]  # type: ignore[return-value]
-    _JIT_STATE["checked"] = True
-    try:
-        import numba
-        kernels = _make_kernels(numba.njit(cache=False, nogil=True))
-    except Exception:
-        return None
-    _JIT_STATE["kernels"] = kernels
-    return kernels
-
-
-def interpreted_kernels() -> Dict[str, object]:
-    """The uncompiled kernel functions (the pure-Python mirror).
-
-    Tests drive these to pin the JIT path's semantics on boxes without
-    numba; they wrap the same body numba would compile.
-    """
-    return _make_kernels(lambda function: function)

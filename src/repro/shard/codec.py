@@ -43,13 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.batch import (
-    BatchLookup,
-    _FuseGroupPlan,
-    _GroupPlan,
-    _HashPlan,
-    _SubCellPlan,
-)
+from ..core.batch import BatchLookup
 from ..core.flatpath import FlatSubCellPlan, _FusedIndex
 from ..faults.checksum import block_checksums
 
@@ -105,7 +99,15 @@ def table_digest(array: np.ndarray) -> int:
 def _flatten(lookup: BatchLookup,
              overlay: _OverlayArrays) -> Tuple[List[Tuple[str, np.ndarray]],
                                                Dict[str, object]]:
-    """The (name, array) list and scalar metadata tree of a snapshot."""
+    """The (name, array) list and scalar metadata tree of a snapshot.
+
+    Each sub-cell serializes as seven arrays (five for Bloomier): the
+    stacked checksum byte-tables, the combined per-group hash tables,
+    the concatenated Index-Table words with per-group offsets and
+    segment sizes, and the fused 64-byte bucket records — plus the
+    arena and spillover arrays.  Payload alignment (``_ALIGN`` = 64)
+    keeps record rows cache-line aligned in the attached mapping too.
+    """
     tables: List[Tuple[str, np.ndarray]] = []
     meta: Dict[str, object] = {
         "width": lookup.width,
@@ -114,109 +116,43 @@ def _flatten(lookup: BatchLookup,
     }
     for cell_index, plan in enumerate(lookup._plans):
         prefix = f"s{cell_index}"
-        if getattr(plan, "kind", None) == "flat":
-            # Additive v1 extension: "layout": "flat" plus the fused
-            # table kinds below.  Readers that predate the flat datapath
-            # never see it (they only attach segments they exported),
-            # and this exporter still writes the original layout for
-            # legacy-datapath plans, so old segments attach unchanged.
-            meta["subcells"].append(_flatten_flat_cell(prefix, plan, tables))
-            continue
-        cell_meta = {
+        fused = plan.fused
+        # "layout": "flat" names the one sub-cell layout; verify()
+        # refuses any other value (see SnapshotImage.verify).
+        meta["subcells"].append({
+            "layout": "flat",
             "base": plan.base,
             "span": plan.span,
             "capacity": plan.capacity,
             "partitions": int(plan.partitions),
             "arena_size": plan.arena_size,
-            "checksum_tables": len(plan.checksum.tables),
-            "groups": [],
-        }
-        for byte_index, byte_table in enumerate(plan.checksum.tables):
-            tables.append((f"{prefix}/ck{byte_index}", byte_table))
-        for group_index, group in enumerate(plan.groups):
-            # "kind" is additive to the v1 header: absent means the
-            # original Bloomier layout, so old segments still attach.
-            group_meta: Dict[str, object] = {
-                "hash_bytes": [len(hash_plan.tables)
-                               for hash_plan in group.hashes],
-            }
-            if group.kind == "fuse":
-                group_meta["kind"] = "fuse"
-                group_meta["segment_length"] = int(group.segment_length)
-                group_meta["start_range"] = int(group.start_range)
-                group_meta["start_hash_bytes"] = len(group.start_hash.tables)
-                for byte_index, byte_table in enumerate(
-                        group.start_hash.tables):
-                    tables.append((
-                        f"{prefix}/g{group_index}/sh{byte_index}", byte_table,
-                    ))
-            else:
-                group_meta["segment_size"] = int(group.segment_size)
-            tables.append((f"{prefix}/g{group_index}/table", group.table))
-            for hash_index, hash_plan in enumerate(group.hashes):
-                for byte_index, byte_table in enumerate(hash_plan.tables):
-                    tables.append((
-                        f"{prefix}/g{group_index}/h{hash_index}/b{byte_index}",
-                        byte_table,
-                    ))
-            cell_meta["groups"].append(group_meta)
-        tables.append((f"{prefix}/filter_values", plan.filter_values))
-        tables.append((f"{prefix}/filter_valid", plan.filter_valid))
-        tables.append((f"{prefix}/bit_vectors", plan.bit_vectors))
-        tables.append((f"{prefix}/region_ptr", plan.region_ptr))
+            "index_kind": fused.kind,
+            "num_hashes": fused.num_hashes,
+            "num_bytes": fused.num_bytes,
+            "num_groups": fused.num_groups,
+        })
+        tables.append((f"{prefix}/checksum", plan.checksum))
+        tables.append((f"{prefix}/fused/hash_tables", fused.hash_tables))
+        tables.append((f"{prefix}/fused/table", fused.table))
+        tables.append((f"{prefix}/fused/offsets", fused.offsets))
+        tables.append((f"{prefix}/fused/segments", fused.segments))
+        if fused.kind == "fuse":
+            if fused.start_tables is None or fused.start_ranges is None:
+                raise ValueError(
+                    f"{prefix}: fuse-kind fused index missing start tables"
+                )
+            tables.append((f"{prefix}/fused/start_tables",
+                           fused.start_tables))
+            tables.append((f"{prefix}/fused/start_ranges",
+                           fused.start_ranges))
+        tables.append((f"{prefix}/records", plan.records))
         tables.append((f"{prefix}/arena", plan.arena))
         tables.append((f"{prefix}/spill_keys", plan.spill_keys))
         tables.append((f"{prefix}/spill_values", plan.spill_values))
-        meta["subcells"].append(cell_meta)
     for overlay_index, (length, values) in enumerate(overlay):
         meta["overlay_lengths"].append(length)
         tables.append((f"ov{overlay_index}", values))
     return tables, meta
-
-
-def _flatten_flat_cell(prefix: str, plan: FlatSubCellPlan,
-                       tables: List[Tuple[str, np.ndarray]],
-                       ) -> Dict[str, object]:
-    """Emit one flat-datapath sub-cell's tables and metadata.
-
-    The fused layout serializes as seven arrays (five for Bloomier):
-    the stacked checksum byte-tables, the combined per-group hash
-    tables, the concatenated Index-Table words with per-group offsets
-    and segment sizes, and the fused 64-byte bucket records — plus the
-    arena and spillover arrays shared with the legacy layout.  Payload
-    alignment (``_ALIGN`` = 64) keeps record rows cache-line aligned in
-    the attached mapping too.
-    """
-    fused = plan.fused
-    cell_meta: Dict[str, object] = {
-        "layout": "flat",
-        "base": plan.base,
-        "span": plan.span,
-        "capacity": plan.capacity,
-        "partitions": int(plan.partitions),
-        "arena_size": plan.arena_size,
-        "index_kind": fused.kind,
-        "num_hashes": fused.num_hashes,
-        "num_bytes": fused.num_bytes,
-        "num_groups": fused.num_groups,
-    }
-    tables.append((f"{prefix}/checksum", plan.checksum))
-    tables.append((f"{prefix}/fused/hash_tables", fused.hash_tables))
-    tables.append((f"{prefix}/fused/table", fused.table))
-    tables.append((f"{prefix}/fused/offsets", fused.offsets))
-    tables.append((f"{prefix}/fused/segments", fused.segments))
-    if fused.kind == "fuse":
-        if fused.start_tables is None or fused.start_ranges is None:
-            raise ValueError(
-                f"{prefix}: fuse-kind fused index missing start tables"
-            )
-        tables.append((f"{prefix}/fused/start_tables", fused.start_tables))
-        tables.append((f"{prefix}/fused/start_ranges", fused.start_ranges))
-    tables.append((f"{prefix}/records", plan.records))
-    tables.append((f"{prefix}/arena", plan.arena))
-    tables.append((f"{prefix}/spill_keys", plan.spill_keys))
-    tables.append((f"{prefix}/spill_values", plan.spill_values))
-    return cell_meta
 
 
 class SharedBatchLookup(BatchLookup):
@@ -228,19 +164,15 @@ class SharedBatchLookup(BatchLookup):
     signalled by the generation fence instead.
     """
 
-    def __init__(self, width: int, plans: List[object],
+    def __init__(self, width: int, plans: List[FlatSubCellPlan],
                  generation: int) -> None:
         # No live engine behind a frozen segment; staleness is fenced
         # by generation instead (see ``stale``).
         self.engine = None  # type: ignore[assignment]
         self.width = width
         self._words_at_build = 0
-        self._plans = plans  # type: ignore[assignment]
+        self._plans = plans
         self.generation = generation
-        # Mirrors the attributes BatchLookup.__init__ sets; the layout
-        # each plan uses was fixed at export time.
-        self.datapath = "mixed"
-        self.use_jit = False
 
     @property
     def stale(self) -> bool:
@@ -393,8 +325,22 @@ class SnapshotImage:
         is damage too (a bit flip can land in the JSON header as easily
         as in a payload word), so it surfaces as the same
         ``SnapshotIntegrityError``, never a raw TypeError/ValueError.
+        So does a sub-cell in any layout but ``"flat"`` (an image
+        written before the flat layout became the only one):
+        :meth:`to_lookup` cannot rebuild it, and recovery must count
+        it as rejected instead of crashing on it.
         """
         try:
+            for cell_index, cell_meta in enumerate(
+                    self._header["meta"]["subcells"]):  # type: ignore[index, call-overload]
+                layout = cell_meta.get("layout") \
+                    if isinstance(cell_meta, dict) else None
+                if layout != "flat":
+                    raise SnapshotIntegrityError(
+                        f"{self._context} generation {self.generation}: "
+                        f"sub-cell {cell_index} has layout {layout!r}; "
+                        f"only 'flat' can be attached"
+                    )
             tables = self._header["tables"]
             last = tables[-1] if tables else None  # type: ignore[index]
             if last is not None:
@@ -488,74 +434,17 @@ class SnapshotImage:
         plan.arena = self._array(f"{prefix}/arena")
         plan.spill_keys = self._array(f"{prefix}/spill_keys")
         plan.spill_values = self._array(f"{prefix}/spill_values")
-        # JIT is a per-process choice, never part of the shared layout.
-        plan.use_jit = False
         return plan
 
     def to_lookup(self) -> SharedBatchLookup:
         """Rebuild the batch datapath over zero-copy buffer views."""
         meta = self._header["meta"]
-        plans: List[object] = []
-        for cell_index, cell_meta in enumerate(meta["subcells"]):  # type: ignore[index, call-overload]
-            prefix = f"s{cell_index}"
-            if cell_meta.get("layout") == "flat":
-                plans.append(self._flat_plan(prefix, cell_meta,
-                                             meta["width"]))  # type: ignore[index, call-overload]
-                continue
-            plan = _SubCellPlan.__new__(_SubCellPlan)
-            plan.base = cell_meta["base"]
-            plan.span = cell_meta["span"]
-            plan.width = meta["width"]  # type: ignore[index, call-overload]
-            plan.capacity = cell_meta["capacity"]
-            plan.partitions = np.uint64(cell_meta["partitions"])
-            plan.arena_size = cell_meta["arena_size"]
-            checksum = _HashPlan.__new__(_HashPlan)
-            checksum.tables = [
-                self._array(f"{prefix}/ck{byte_index}")
-                for byte_index in range(cell_meta["checksum_tables"])
-            ]
-            plan.checksum = checksum
-            plan.groups = []
-            for group_index, group_meta in enumerate(cell_meta["groups"]):
-                if group_meta.get("kind", "bloomier") == "fuse":
-                    group = _FuseGroupPlan.__new__(_FuseGroupPlan)
-                    group.segment_length = np.uint64(
-                        group_meta["segment_length"]
-                    )
-                    group.start_range = np.uint64(group_meta["start_range"])
-                    start_hash = _HashPlan.__new__(_HashPlan)
-                    start_hash.tables = [
-                        self._array(f"{prefix}/g{group_index}/sh{byte_index}")
-                        for byte_index in range(
-                            group_meta["start_hash_bytes"])
-                    ]
-                    group.start_hash = start_hash
-                else:
-                    group = _GroupPlan.__new__(_GroupPlan)
-                    group.segment_size = np.uint64(group_meta["segment_size"])
-                group.table = self._array(f"{prefix}/g{group_index}/table")
-                group.hashes = []
-                for hash_index, byte_count in enumerate(
-                        group_meta["hash_bytes"]):
-                    hash_plan = _HashPlan.__new__(_HashPlan)
-                    hash_plan.tables = [
-                        self._array(
-                            f"{prefix}/g{group_index}"
-                            f"/h{hash_index}/b{byte_index}"
-                        )
-                        for byte_index in range(byte_count)
-                    ]
-                    group.hashes.append(hash_plan)
-                plan.groups.append(group)
-            plan.filter_values = self._array(f"{prefix}/filter_values")
-            plan.filter_valid = self._array(f"{prefix}/filter_valid")
-            plan.bit_vectors = self._array(f"{prefix}/bit_vectors")
-            plan.region_ptr = self._array(f"{prefix}/region_ptr")
-            plan.arena = self._array(f"{prefix}/arena")
-            plan.spill_keys = self._array(f"{prefix}/spill_keys")
-            plan.spill_values = self._array(f"{prefix}/spill_values")
-            plans.append(plan)
-        return SharedBatchLookup(meta["width"], plans, self.generation)  # type: ignore[index, call-overload]
+        width = meta["width"]  # type: ignore[index, call-overload]
+        plans = [
+            self._flat_plan(f"s{cell_index}", cell_meta, width)
+            for cell_index, cell_meta in enumerate(meta["subcells"])  # type: ignore[index, call-overload]
+        ]
+        return SharedBatchLookup(width, plans, self.generation)
 
     def overlay_arrays(self) -> _OverlayArrays:
         """The overlay embedded at export time (length, values) pairs."""

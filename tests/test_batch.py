@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import ChiselConfig, ChiselLPM
-from repro.core.batch import BatchLookup, _popcount64
+from repro.core.batch import BatchLookup
+from repro.core.flatpath import popcount64
 from repro.prefix import Prefix
 from repro.workloads import ipv6_table
 
@@ -22,7 +23,7 @@ class TestPopcount:
         values = np.array([0, 1, 0xFF, 0xF0F0, (1 << 64) - 1, 0x8000000000000001],
                           dtype=np.uint64)
         expected = [bin(int(v)).count("1") for v in values]
-        assert list(_popcount64(values)) == expected
+        assert list(popcount64(values)) == expected
 
 
 class TestBatchCorrectness:

@@ -47,8 +47,7 @@ def healthy_reports():
         },
         "flat_bench.json": {
             "flat_klookups_per_sec": 2000.0,
-            "flat_vs_legacy": 2.4,
-            "jit_vs_legacy": 3.5,
+            "flat_vs_scalar": 35.0,
         },
         "store_bench.json": {
             "coldstart_speedup": 2.3,
@@ -159,46 +158,28 @@ class TestCompare:
 
 
 class TestFloorChecks:
-    """The flat-datapath speedup bars (baseline-independent ratios)."""
+    """The flat-batch-vs-scalar speedup bar (a baseline-independent ratio)."""
 
     def test_ratio_below_floor_fails(self):
         currents = healthy_reports()
-        currents["flat_bench.json"]["flat_vs_legacy"] = 1.6
+        currents["flat_bench.json"]["flat_vs_scalar"] = 24.0
         report = regress.compare_reports(healthy_reports(), currents)
         assert not report["passed"]
-        assert any("flat_vs_legacy" in failure and "floor" in failure
+        assert any("flat_vs_scalar" in failure and "floor" in failure
                    for failure in report["failures"]), report["failures"]
-
-    def test_jit_ratio_below_floor_fails(self):
-        currents = healthy_reports()
-        currents["flat_bench.json"]["jit_vs_legacy"] = 2.1
-        report = regress.compare_reports(healthy_reports(), currents)
-        assert not report["passed"]
-        assert any("jit_vs_legacy" in failure
-                   for failure in report["failures"])
 
     def test_ratio_at_floor_passes(self):
         currents = healthy_reports()
-        currents["flat_bench.json"]["flat_vs_legacy"] = 2.0
+        currents["flat_bench.json"]["flat_vs_scalar"] = 24.1
         assert regress.compare_reports(healthy_reports(),
                                        currents)["passed"]
-
-    def test_missing_jit_metric_skips_without_numba(self):
-        """flat-bench omits jit_vs_legacy when numba is absent; the
-        floor must report "not measured", never fail."""
-        currents = healthy_reports()
-        del currents["flat_bench.json"]["jit_vs_legacy"]
-        report = regress.compare_reports(healthy_reports(), currents)
-        assert report["passed"]
-        assert any("jit_vs_legacy" in note and "not measured" in note
-                   for note in report["skipped"])
 
     def test_floor_ignores_baseline_value(self):
         """Committing a weaker baseline must not weaken the bar."""
         baselines = healthy_reports()
-        baselines["flat_bench.json"]["flat_vs_legacy"] = 0.5
+        baselines["flat_bench.json"]["flat_vs_scalar"] = 0.5
         currents = healthy_reports()
-        currents["flat_bench.json"]["flat_vs_legacy"] = 1.9
+        currents["flat_bench.json"]["flat_vs_scalar"] = 20.0
         report = regress.compare_reports(baselines, currents)
         assert not report["passed"]
 

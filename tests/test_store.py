@@ -400,6 +400,72 @@ class TestCheckpoint:
         checkpoint.close()
 
 
+def _legacy_layout(lookup, overlay):
+    """A hand-built image in the retired per-table sub-cell layout.
+
+    Same (tables, meta) shape ``codec._flatten`` returns, but the one
+    sub-cell carries no ``"layout": "flat"`` key and names its tables
+    the way the old per-group exporter did.
+    """
+    meta = {
+        "width": lookup.width,
+        "subcells": [{
+            "base": 24, "span": 4, "capacity": 2, "partitions": 1,
+            "arena_size": 1, "checksum_tables": 1,
+            "groups": [{"hash_bytes": [1], "segment_size": 4}],
+        }],
+        "overlay_lengths": [],
+    }
+    tables = [
+        ("s0/ck0", np.zeros(256, dtype=np.uint64)),
+        ("s0/g0/table", np.zeros(12, dtype=np.uint64)),
+        ("s0/g0/h0/b0", np.zeros(256, dtype=np.uint64)),
+        ("s0/filter_values", np.zeros(2, dtype=np.uint64)),
+        ("s0/filter_valid", np.zeros(2, dtype=bool)),
+        ("s0/bit_vectors", np.zeros(2, dtype=np.uint64)),
+        ("s0/region_ptr", np.zeros(2, dtype=np.int64)),
+        ("s0/arena", np.zeros(1, dtype=np.int64)),
+        ("s0/spill_keys", np.zeros(0, dtype=np.uint64)),
+        ("s0/spill_values", np.zeros(0, dtype=np.uint64)),
+    ]
+    return tables, meta
+
+
+class TestNonFlatLayoutRefused:
+    """An image whose sub-cells are not in the flat layout fails
+    verification (and so recovery falls back), instead of passing it
+    and crashing ``to_lookup`` with a bare KeyError."""
+
+    def test_shared_segment_attach_refuses(self, monkeypatch):
+        from repro.shard import codec
+
+        _table, router = build_router(size=80)
+        snapshot, overlay, _blob, _healthy = router.persistence_cut()
+        monkeypatch.setattr(codec, "_flatten", _legacy_layout)
+        segment = codec.SharedSnapshot.export(snapshot, overlay, 1)
+        try:
+            with pytest.raises(codec.SnapshotIntegrityError,
+                               match="layout"):
+                codec.SharedSnapshot.attach(segment.name)
+        finally:
+            segment.retire()
+
+    def test_cold_start_refuses_with_recovery_error(self, store_dir,
+                                                    monkeypatch):
+        from repro.shard import codec
+
+        _table, router = build_router(size=80)
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "_flatten", _legacy_layout)
+            store = SnapshotStore.create(store_dir, router)
+            store.close()
+        [generation] = list_generations(store_dir)
+        with pytest.raises(CheckpointCorruptError, match="layout"):
+            load_checkpoint(checkpoint_path(store_dir, generation))
+        with pytest.raises(RecoveryError, match="layout"):
+            cold_start(store_dir, retries=1, backoff=0.0)
+
+
 class TestStoreIntegration:
     def test_cold_start_replays_to_golden(self, store_dir):
         table, router = build_router()
