@@ -95,6 +95,11 @@ CHECKS: List[Tuple[str, str, str, float]] = [
     # it is as strict as the retired flat_vs_legacy >= 2 floor.
     ("flat_bench.json", "flat_klookups_per_sec", "throughput", 0.0),
     ("flat_bench.json", "flat_vs_scalar", "floor", 24.1),
+    # The same ratio at a 64-key batch, where the datapath's fixed cost
+    # per call dominates: 4.03 is twice the lowest flat64_vs_scalar
+    # measured before sub-cells were stacked into one pass (2.013 over
+    # six smoke runs), so the per-sub-cell loop fails it.
+    ("flat_bench.json", "flat64_vs_scalar", "floor", 4.03),
     # Persistence acceptance bars (docs/PERSISTENCE.md): booting from
     # the mmap checkpoint + tail replay must beat a full recompile by a
     # same-run margin, and the recovered router's first batch must be

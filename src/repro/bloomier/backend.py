@@ -29,9 +29,10 @@ coupled segments, `bloomier/fuse.py`) register themselves in
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, List, Mapping, Optional, Sequence,
+    Callable, Dict, List, Mapping, MutableSequence, Optional, Sequence,
 )
 
 try:  # Protocol is typing-only; keep 3.7-era importers alive.
@@ -42,6 +43,7 @@ except ImportError:  # pragma: no cover
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
 
+from ..wordarray import ArraysPickleAsLists
 from .peeling import PeelStallError, peel
 
 
@@ -95,10 +97,25 @@ class IndexBackend(Protocol):
     def shadow(self) -> Dict[int, int]: ...
 
     @property
-    def table(self) -> List[int]: ...
+    def table(self) -> MutableSequence[int]: ...
 
 
-class XorIndexTable:
+def _zero_words(num_slots: int) -> "array[int]":
+    """Index-Table words as a uint64 array (no int object per word)."""
+    return array("Q", bytes(8 * num_slots))
+
+
+def _zero_counts(num_slots: int) -> "array[int]":
+    """Per-slot key counts: 2 bytes a slot instead of a list's 8.
+
+    A slot's count is the number of encoded keys hashing to it (about
+    ``num_hashes / slots_per_key`` on average), far below 2**16; an
+    overflow would raise, never wrap.
+    """
+    return array("H", bytes(2 * num_slots))
+
+
+class XorIndexTable(ArraysPickleAsLists):
     """Shared machinery for XOR-decoded collision-free index backends.
 
     Subclasses own the hash geometry and implement:
@@ -133,8 +150,8 @@ class XorIndexTable:
         self.max_spill = max_spill
         self._rng = rng or random.Random(0)
         self.num_slots = num_slots
-        self._table: List[int] = [0] * num_slots
-        self._refcount: List[int] = [0] * num_slots
+        self._table = _zero_words(num_slots)
+        self._refcount = _zero_counts(num_slots)
         # Software shadow of the encoded function (§4.4: the Network
         # Processor keeps shadow copies for incremental updates and
         # re-setups).  Not counted in hardware storage.
@@ -195,8 +212,8 @@ class XorIndexTable:
                     saved_hashes = self._hash_state()
                 self._rehash()
 
-        self._table = [0] * self.num_slots
-        self._refcount = [0] * self.num_slots
+        self._table = _zero_words(self.num_slots)
+        self._refcount = _zero_counts(self.num_slots)
         self._shadow = {}
         spilled_set = set(result.spilled)
         for key_index, tau in result.encoding_order():
@@ -269,7 +286,7 @@ class XorIndexTable:
         return self._shadow
 
     @property
-    def table(self) -> List[int]:
+    def table(self) -> MutableSequence[int]:
         """The raw Index Table words D (read-only use)."""
         return self._table
 

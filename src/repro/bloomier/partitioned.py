@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, MutableSequence, Optional
 
 from ..hashing.tabulation import TabulationHash
 from ..obs import get_registry
@@ -273,7 +273,7 @@ class PartitionedBloomierFilter:
         """The log2(d)-bit partitioning hash (read-only use)."""
         return self._checksum
 
-    def hardware_words(self) -> List[List[int]]:
+    def hardware_words(self) -> List[MutableSequence[int]]:
         """The raw Index Table contents per group (what hardware holds).
 
         Returns references for snapshotting; callers copy before mutating.

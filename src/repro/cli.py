@@ -284,15 +284,21 @@ def cmd_shard_bench(args) -> int:
     return 0 if report["passed"] else 1
 
 
+#: 64-key batches (and 64 × 64 scalar lookups) per flat-bench round.
+_SMALL_BATCH_CALLS = 20
+
+
 def cmd_flat_bench(args) -> int:
     """Flat-batch-vs-scalar datapath bench plus the zero-divergence gate.
 
     Times the flat batch pipeline and the scalar ``ChiselLPM.lookup``
     over the same key batch, interleaved round by round, best-of-N for
-    each.  The same-run speedup ratio ``flat_vs_scalar`` is what
-    ``benchmarks/regress.py`` floors: it compares two timings taken in
-    the same run, so it needs no baseline from another machine.  Exits
-    non-zero on any flat-vs-scalar divergence.
+    each.  The same-run speedup ratios ``flat_vs_scalar`` (the whole
+    batch) and ``flat64_vs_scalar`` (a 64-key batch against the same 64
+    keys looked up one by one, where the per-call fixed cost shows) are
+    what ``benchmarks/regress.py`` floors: each compares two timings
+    taken in the same run, so it needs no baseline from another machine.
+    Exits non-zero on any flat-vs-scalar divergence.
     """
     import time
 
@@ -330,7 +336,20 @@ def cmd_flat_bench(args) -> int:
     # slowdown on a busy runner then tends to degrade both sides'
     # rounds alike, and the best-of-N *ratio* moves far less than
     # either rate.
-    variants = {"flat": lambda: flat.lookup_batch(keys), "scalar": scalar}
+    small, small_list = keys[:64], key_list[:64]
+
+    def flat64() -> None:
+        for _ in range(_SMALL_BATCH_CALLS):
+            flat.lookup_batch(small)
+
+    def scalar64() -> None:
+        lookup = engine.lookup
+        for _ in range(_SMALL_BATCH_CALLS):
+            for key in small_list:
+                lookup(key)
+
+    variants = {"flat": lambda: flat.lookup_batch(keys), "scalar": scalar,
+                "flat64": flat64, "scalar64": scalar64}
     best = {name: float("inf") for name in variants}
     for _ in range(repeats):
         for name, run in variants.items():
@@ -348,6 +367,7 @@ def cmd_flat_bench(args) -> int:
                                          1),
         "flat_klookups_per_sec": round(batch_size / best["flat"] / 1000, 1),
         "flat_vs_scalar": round(best["scalar"] / best["flat"], 3),
+        "flat64_vs_scalar": round(best["scalar64"] / best["flat64"], 3),
     }
     rendered = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:

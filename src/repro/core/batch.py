@@ -22,7 +22,7 @@ import numpy as np
 
 from ..prefix.table import NextHop
 from .chisel import ChiselLPM
-from .flatpath import FlatSubCellPlan
+from .flatpath import StackedPlan
 
 _MISS = np.int64(-1)
 
@@ -86,9 +86,9 @@ def normalize_keys(keys) -> np.ndarray:
 class BatchLookup:
     """Compiled, read-only batch-lookup view of a built engine.
 
-    Each sub-cell compiles to one :class:`FlatSubCellPlan` (fused
-    per-bucket records + one-pass decode, ``core.flatpath``), bit-exact
-    with the scalar ``ChiselLPM.lookup``.
+    The engine compiles to one :class:`StackedPlan` (every sub-cell's
+    tables stacked, one broadcast pass per run of sub-cells,
+    ``core.flatpath``), bit-exact with the scalar ``ChiselLPM.lookup``.
     """
 
     def __init__(self, engine: ChiselLPM):
@@ -97,11 +97,7 @@ class BatchLookup:
         self.engine = engine
         self.width = engine.config.width
         self._words_at_build = engine.words_written()
-        # engine.subcells is already longest-base-first.
-        self._plans = [
-            FlatSubCellPlan.compile(subcell, self.width)
-            for subcell in engine.subcells
-        ]
+        self.plan = StackedPlan.compile(engine)
 
     @property
     def stale(self) -> bool:
@@ -114,18 +110,7 @@ class BatchLookup:
         Input is normalized to 1-D: a scalar key yields a 1-element
         result.  Negative or >=2**64 keys raise ``ValueError``.
         """
-        key_array = normalize_keys(keys)
-        result = np.full(key_array.shape, _MISS, dtype=np.int64)
-        unresolved = np.ones(key_array.shape, dtype=bool)
-        for plan in self._plans:
-            if not unresolved.any():
-                break
-            answers = plan.lookup(key_array[unresolved])
-            hit = answers != _MISS
-            indices = np.flatnonzero(unresolved)[hit]
-            result[indices] = answers[hit]
-            unresolved[indices] = False
-        return result
+        return self.plan.lookup(normalize_keys(keys))
 
     def lookup_many(self, keys) -> List[Optional[NextHop]]:
         """Convenience: python list with None for misses."""

@@ -20,6 +20,7 @@ writes so the update benchmarks can report hardware traffic.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, List, Optional
 
 from ..bloomier.filter import SetupReport
@@ -27,6 +28,7 @@ from ..bloomier.partitioned import InsertOutcome, PartitionedBloomierFilter
 from ..obs import get_registry
 from ..prefix.prefix import Prefix, key_bits
 from ..prefix.table import NextHop
+from ..wordarray import ArraysPickleAsLists
 from .alloc import BlockAllocator
 from .bitvector import Bucket, OriginalKey
 from .collapse import SubCellPlan
@@ -34,7 +36,7 @@ from .config import ChiselConfig
 from .events import CapacityError, UpdateKind
 
 
-class ChiselSubCell:
+class ChiselSubCell(ArraysPickleAsLists):
     """The tables and shadow state for one collapse interval."""
 
     __slots__ = (
@@ -67,19 +69,20 @@ class ChiselSubCell:
         )
         # Hardware tables, all of depth `capacity`, addressed by p(t).
         self.filter_table: List[Optional[int]] = [None] * self.capacity
-        self.dirty_table: List[bool] = [False] * self.capacity
-        self.bv_table: List[int] = [0] * self.capacity
-        self.region_ptr: List[int] = [0] * self.capacity
+        self.dirty_table = array("b", bytes(self.capacity))  # 0/1 flags
+        # Arrays, not lists: no int object per word (8 bytes, not ~36).
+        self.bv_table = array("Q", bytes(8 * self.capacity))
+        self.region_ptr = array("q", bytes(8 * self.capacity))
         # Software shadow of the hardware region-pointer words (§4.4: the
         # Network Processor keeps shadow copies of everything it programs).
         # Written in lockstep with ``region_ptr`` by the legitimate update
         # paths; a scrub pass repairs a corrupted hardware pointer from it.
-        self.region_ptr_shadow: List[int] = [0] * self.capacity
-        self.region_block: List[int] = [0] * self.capacity  # provisioned sizes
+        self.region_ptr_shadow = array("q", bytes(8 * self.capacity))
+        self.region_block = array("I", bytes(4 * self.capacity))  # provisioned sizes
         self.result = BlockAllocator()
         # Shadow software copy (§4.4): collapsed value -> Bucket.
         self.buckets: Dict[int, Bucket] = {}
-        self._free_pointers = list(range(self.capacity - 1, -1, -1))
+        self._free_pointers = array("q", range(self.capacity - 1, -1, -1))
         self.words_written = 0  # hardware words pushed by incremental updates
         self._obs_ranks = get_registry().counter(
             "chisel_bitvector_ranks_total",

@@ -370,7 +370,7 @@ def check_bloomier(subcell: ChiselSubCell, report: InvariantReport) -> None:
                            f"{decoded}, shadow says {value} (flipped Index "
                            f"Table word?)", base)
             report.bump("bloomier_keys")
-        if counts != group._refcount:
+        if counts != list(group._refcount):
             drift = sum(1 for a, b in zip(counts, group._refcount) if a != b)
             report.add("INV401",
                        f"group {group_index} refcounts drift from recomputed "

@@ -49,7 +49,7 @@ TABLE_KINDS = (
     "spillover_key", "spillover_value",
 )
 
-#: Table kinds that live *inside* a fused flat-datapath record
+#: Table kinds that live *inside* a fused stacked-datapath record
 #: (``repro.core.flatpath``), mapped to their record lane.  The flat
 #: layout folds the dirty bit into the "valid" lane (valid ≡ present and
 #: not dirty), so a dirty-kind fault targets that lane.
@@ -61,42 +61,51 @@ FLAT_RECORD_KINDS = {
 }
 
 
-def locate_record_word(kind: str, pointer: int) -> Tuple[int, int]:
-    """(row, lane) of one hardware word inside a fused record table.
+def locate_record_word(plan, cell: int, kind: str,
+                       pointer: int) -> Tuple[int, int]:
+    """(row, lane) of one hardware word inside a stacked record table.
 
-    The scrub/chaos machinery addresses compiled words by (table kind,
-    bucket pointer); in the flat datapath those four tables are lanes of
-    one ``(capacity, 8)`` record array, and this is the mapping.  Kinds
-    that are not part of a record (index, result, spillover) raise
-    ``ValueError`` — they keep their own arrays in both layouts.
+    The scrub/chaos machinery addresses compiled words by (sub-cell,
+    table kind, bucket pointer); in the stacked datapath those four
+    tables are lanes of one ``(rows, 4)`` record array shared by every
+    sub-cell, and sub-cell ``cell``'s rows start at its row base.
+    Kinds that are not part of a record (index, result, spillover)
+    raise ``ValueError``, and so does a pointer past the sub-cell's
+    capacity (it would address the neighbouring sub-cell's rows).
     """
     if kind not in FLAT_RECORD_KINDS:
         raise ValueError(
             f"kind {kind!r} does not live in fused records; "
             f"record kinds: {sorted(FLAT_RECORD_KINDS)}"
         )
-    return pointer, FLAT_RECORD_KINDS[kind]
+    capacity = plan.cells[cell]["capacity"]
+    if not 0 <= pointer < capacity:
+        raise ValueError(
+            f"pointer {pointer} outside sub-cell {cell}'s {capacity} rows")
+    return int(plan.row_base[cell, 0]) + pointer, FLAT_RECORD_KINDS[kind]
 
 
-def corrupt_record_word(plan, kind: str, pointer: int,
+def corrupt_record_word(plan, cell: int, kind: str, pointer: int,
                         bit: Optional[int] = None) -> FaultRecord:
     """Flip a bit (or invert the valid flag) inside one fused record.
 
-    Operates on a compiled :class:`repro.core.flatpath.FlatSubCellPlan`
-    — the post-compile analogue of :meth:`FaultInjector.flip_table_bit`,
-    for exercising the flat datapath's own guards (filter compare,
-    valid flag, addressable range) without a recompile.  Shared-segment
-    plans are read-only and raise; corrupt before export instead.
+    Operates on a compiled :class:`repro.core.flatpath.StackedPlan`
+    (``BatchLookup.plan``), addressing the record by sub-cell index and
+    bucket pointer — the post-compile analogue of
+    :meth:`FaultInjector.flip_table_bit`, for exercising the stacked
+    datapath's own guards (filter compare, valid flag, addressable
+    range) without a recompile.  Shared-segment plans are read-only and
+    raise; corrupt before export instead.
     """
-    row, lane = locate_record_word(kind, pointer)
+    row, lane = locate_record_word(plan, cell, kind, pointer)
     old = int(plan.records[row, lane])
     if kind == "dirty":
         new = 0 if old else 1  # invert the fused valid flag
     else:
         new = old ^ (1 << (bit or 0))
     plan.records[row, lane] = np.uint64(new)
-    return FaultRecord(kind, plan.base, pointer, bit, old, new,
-                       detail="fused record")
+    return FaultRecord(kind, plan.cells[cell]["base"], pointer, bit, old,
+                       new, detail="fused record")
 
 
 @dataclass(frozen=True)

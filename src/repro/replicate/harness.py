@@ -147,7 +147,7 @@ class ReplicaHandle:
             target=replica_main,
             args=(self.replica_id, self.port, self.table, self.config,
                   self.directory, self.task_queue, self.result_queue,
-                  self.status_interval, self.scrub_interval),
+                  os.getpid(), self.status_interval, self.scrub_interval),
             daemon=True,
             name=f"replica-{self.replica_id}",
         )

@@ -107,8 +107,10 @@ class _ReplicaRuntime:
 
     def __init__(self, replica_id: int, port: int, table: RoutingTable,
                  config: ChiselConfig, directory: str,
-                 status_interval: float, scrub_interval: float) -> None:
+                 status_interval: float, scrub_interval: float,
+                 parent_pid: int) -> None:
         self.replica_id = replica_id
+        self.parent_pid = parent_pid
         self.port = port
         self.table = table
         self.config = config
@@ -240,8 +242,12 @@ class _ReplicaRuntime:
 
     # -- connection ----------------------------------------------------------
 
+    def orphaned(self) -> bool:
+        """True once the harness that spawned us has died."""
+        return os.getppid() != self.parent_pid
+
     def connect(self, deadline: float) -> bool:
-        while time.monotonic() < deadline:
+        while time.monotonic() < deadline and not self.orphaned():
             try:
                 sock = socket.create_connection(
                     ("127.0.0.1", self.port), timeout=1.0)
@@ -457,15 +463,23 @@ class _ReplicaRuntime:
 
 def replica_main(replica_id: int, port: int, table: RoutingTable,
                  config: ChiselConfig, directory: str, task_queue: Any,
-                 result_queue: Any, status_interval: float = 0.1,
+                 result_queue: Any, parent_pid: int,
+                 status_interval: float = 0.1,
                  scrub_interval: float = 0.25) -> int:
-    """The replica process entry point (module-level: spawn-safe)."""
+    """The replica process entry point (module-level: spawn-safe).
+
+    ``parent_pid`` is the harness's pid, passed in by the spawning side
+    (a pid read here could already be the reaper's; see the shard
+    ``worker_main``).  Boot and connect can take seconds, so connecting
+    gives up as soon as the harness is gone.
+    """
     runtime = _ReplicaRuntime(replica_id, port, table, config, directory,
-                              status_interval, scrub_interval)
-    parent_pid = os.getppid()
+                              status_interval, scrub_interval, parent_pid)
     try:
         runtime.boot()
         if not runtime.connect(time.monotonic() + 10.0):
+            if runtime.orphaned():
+                return 2  # harness died; do not linger
             result_queue.put(("error", replica_id, "cannot reach writer"))
             return 1
         idle_since = time.monotonic()
@@ -482,7 +496,7 @@ def replica_main(replica_id: int, port: int, table: RoutingTable,
                     return 0
                 continue
             if now - idle_since > _ORPHAN_POLL_SECONDS:
-                if os.getppid() != parent_pid:
+                if runtime.orphaned():
                     return 2  # harness died; do not linger
                 idle_since = now
             if runtime.partition_until > now:
@@ -493,6 +507,8 @@ def replica_main(replica_id: int, port: int, table: RoutingTable,
             if runtime.conn is None:
                 runtime.stats["reconnects"] += 1
                 if not runtime.connect(now + 5.0):
+                    if runtime.orphaned():
+                        return 2
                     result_queue.put(("error", replica_id,
                                       "writer unreachable"))
                     return 1

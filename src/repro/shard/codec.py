@@ -44,10 +44,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.batch import BatchLookup
-from ..core.flatpath import FlatSubCellPlan, _FusedIndex
+from ..core.flatpath import StackedPlan
 from ..faults.checksum import block_checksums
 
 _MAGIC = "chisel-shard-v1"
+
+#: The one plan layout :meth:`SnapshotImage.to_lookup` rebuilds.
+_LAYOUT = "stacked"
+
+#: Table-name prefix of the stacked plan's arrays.
+_PLAN = "plan/"
 
 #: Payload arrays start on 64-byte boundaries (cache-line alignment; also
 #: keeps uint64 views legal regardless of neighbouring array sizes).
@@ -101,57 +107,25 @@ def _flatten(lookup: BatchLookup,
                                                Dict[str, object]]:
     """The (name, array) list and scalar metadata tree of a snapshot.
 
-    Each sub-cell serializes as seven arrays (five for Bloomier): the
-    stacked checksum byte-tables, the combined per-group hash tables,
-    the concatenated Index-Table words with per-group offsets and
-    segment sizes, and the fused 64-byte bucket records — plus the
-    arena and spillover arrays.  Payload alignment (``_ALIGN`` = 64)
-    keeps record rows cache-line aligned in the attached mapping too.
+    The stacked plan serializes as one array set for all sub-cells
+    (checksum and hash byte-tables, Index-Table words, fused
+    records, Result arena, spillover) plus each sub-cell's scalars;
+    the attach side derives everything else.  Payload alignment
+    (``_ALIGN`` = 64) keeps record rows cache-line aligned in the
+    attached mapping too.
     """
-    tables: List[Tuple[str, np.ndarray]] = []
+    plan = lookup.plan
     meta: Dict[str, object] = {
         "width": lookup.width,
-        "subcells": [],
-        "overlay_lengths": [],
+        "layout": _LAYOUT,
+        "kind": plan.kind,
+        "num_hashes": plan.num_hashes,
+        "subcells": plan.cells,
+        "overlay_lengths": [length for length, _values in overlay],
     }
-    for cell_index, plan in enumerate(lookup._plans):
-        prefix = f"s{cell_index}"
-        fused = plan.fused
-        # "layout": "flat" names the one sub-cell layout; verify()
-        # refuses any other value (see SnapshotImage.verify).
-        meta["subcells"].append({
-            "layout": "flat",
-            "base": plan.base,
-            "span": plan.span,
-            "capacity": plan.capacity,
-            "partitions": int(plan.partitions),
-            "arena_size": plan.arena_size,
-            "index_kind": fused.kind,
-            "num_hashes": fused.num_hashes,
-            "num_bytes": fused.num_bytes,
-            "num_groups": fused.num_groups,
-        })
-        tables.append((f"{prefix}/checksum", plan.checksum))
-        tables.append((f"{prefix}/fused/hash_tables", fused.hash_tables))
-        tables.append((f"{prefix}/fused/table", fused.table))
-        tables.append((f"{prefix}/fused/offsets", fused.offsets))
-        tables.append((f"{prefix}/fused/segments", fused.segments))
-        if fused.kind == "fuse":
-            if fused.start_tables is None or fused.start_ranges is None:
-                raise ValueError(
-                    f"{prefix}: fuse-kind fused index missing start tables"
-                )
-            tables.append((f"{prefix}/fused/start_tables",
-                           fused.start_tables))
-            tables.append((f"{prefix}/fused/start_ranges",
-                           fused.start_ranges))
-        tables.append((f"{prefix}/records", plan.records))
-        tables.append((f"{prefix}/arena", plan.arena))
-        tables.append((f"{prefix}/spill_keys", plan.spill_keys))
-        tables.append((f"{prefix}/spill_values", plan.spill_values))
-    for overlay_index, (length, values) in enumerate(overlay):
-        meta["overlay_lengths"].append(length)
-        tables.append((f"ov{overlay_index}", values))
+    tables = [(_PLAN + name, array) for name, array in plan.tables().items()]
+    tables += [(f"ov{overlay_index}", values)
+               for overlay_index, (_length, values) in enumerate(overlay)]
     return tables, meta
 
 
@@ -164,14 +138,14 @@ class SharedBatchLookup(BatchLookup):
     signalled by the generation fence instead.
     """
 
-    def __init__(self, width: int, plans: List[FlatSubCellPlan],
+    def __init__(self, width: int, plan: StackedPlan,
                  generation: int) -> None:
         # No live engine behind a frozen segment; staleness is fenced
         # by generation instead (see ``stale``).
         self.engine = None  # type: ignore[assignment]
         self.width = width
         self._words_at_build = 0
-        self._plans = plans
+        self.plan = plan
         self.generation = generation
 
     @property
@@ -325,22 +299,19 @@ class SnapshotImage:
         is damage too (a bit flip can land in the JSON header as easily
         as in a payload word), so it surfaces as the same
         ``SnapshotIntegrityError``, never a raw TypeError/ValueError.
-        So does a sub-cell in any layout but ``"flat"`` (an image
-        written before the flat layout became the only one):
-        :meth:`to_lookup` cannot rebuild it, and recovery must count
-        it as rejected instead of crashing on it.
+        So does an image in any plan layout but ``"stacked"`` (one
+        written by an older release, such as the per-sub-cell
+        ``"flat"`` layout): :meth:`to_lookup` cannot rebuild it, and
+        recovery must count it as rejected instead of crashing on it.
         """
         try:
-            for cell_index, cell_meta in enumerate(
-                    self._header["meta"]["subcells"]):  # type: ignore[index, call-overload]
-                layout = cell_meta.get("layout") \
-                    if isinstance(cell_meta, dict) else None
-                if layout != "flat":
-                    raise SnapshotIntegrityError(
-                        f"{self._context} generation {self.generation}: "
-                        f"sub-cell {cell_index} has layout {layout!r}; "
-                        f"only 'flat' can be attached"
-                    )
+            layout = self._header["meta"].get("layout")  # type: ignore[union-attr]
+            if layout != _LAYOUT:
+                raise SnapshotIntegrityError(
+                    f"{self._context} generation {self.generation}: "
+                    f"plan layout {layout!r}; only {_LAYOUT!r} can be "
+                    f"attached"
+                )
             tables = self._header["tables"]
             last = tables[-1] if tables else None  # type: ignore[index]
             if last is not None:
@@ -358,7 +329,8 @@ class SnapshotImage:
                 table_digest(self._array_view(entry))
                 for entry in tables  # type: ignore[union-attr]
             ]
-        except (TypeError, ValueError, KeyError, OverflowError) as error:
+        except (TypeError, ValueError, KeyError, OverflowError,
+                AttributeError) as error:
             raise SnapshotIntegrityError(
                 f"{self._context}: malformed table metadata "
                 f"({error}) — corrupted header"
@@ -400,51 +372,17 @@ class SnapshotImage:
     def blob_names(self) -> List[str]:
         return list(self._header.get("blobs", []))  # type: ignore[call-overload, arg-type]
 
-    def _flat_plan(self, prefix: str,
-                   cell_meta: Dict[str, object],
-                   width: int) -> FlatSubCellPlan:
-        """Rebuild one flat-datapath plan over zero-copy buffer views."""
-        plan = FlatSubCellPlan.__new__(FlatSubCellPlan)
-        plan.base = cell_meta["base"]
-        plan.span = cell_meta["span"]
-        plan.width = width
-        plan.capacity = cell_meta["capacity"]
-        plan.partitions = np.uint64(cell_meta["partitions"])  # type: ignore[arg-type]
-        plan.arena_size = cell_meta["arena_size"]
-        plan.checksum = self._array(f"{prefix}/checksum")
-        kind = str(cell_meta["index_kind"])
-        start_tables: Optional[np.ndarray] = None
-        start_ranges: Optional[np.ndarray] = None
-        if kind == "fuse":
-            start_tables = self._array(f"{prefix}/fused/start_tables")
-            start_ranges = self._array(f"{prefix}/fused/start_ranges")
-        plan.fused = _FusedIndex(
-            kind,
-            int(cell_meta["num_hashes"]),  # type: ignore[call-overload]
-            int(cell_meta["num_bytes"]),  # type: ignore[call-overload]
-            int(cell_meta["num_groups"]),  # type: ignore[call-overload]
-            self._array(f"{prefix}/fused/hash_tables"),
-            self._array(f"{prefix}/fused/table"),
-            self._array(f"{prefix}/fused/offsets"),
-            self._array(f"{prefix}/fused/segments"),
-            start_tables,
-            start_ranges,
-        )
-        plan.records = self._array(f"{prefix}/records")
-        plan.arena = self._array(f"{prefix}/arena")
-        plan.spill_keys = self._array(f"{prefix}/spill_keys")
-        plan.spill_values = self._array(f"{prefix}/spill_values")
-        return plan
-
     def to_lookup(self) -> SharedBatchLookup:
         """Rebuild the batch datapath over zero-copy buffer views."""
         meta = self._header["meta"]
-        width = meta["width"]  # type: ignore[index, call-overload]
-        plans = [
-            self._flat_plan(f"s{cell_index}", cell_meta, width)
-            for cell_index, cell_meta in enumerate(meta["subcells"])  # type: ignore[index, call-overload]
-        ]
-        return SharedBatchLookup(width, plans, self.generation)
+        arrays = {
+            name[len(_PLAN):]: self._array(name)
+            for name in self._entries if name.startswith(_PLAN)
+        }
+        plan = StackedPlan(
+            meta["width"], meta["kind"], meta["num_hashes"],  # type: ignore[index]
+            meta["subcells"], arrays)  # type: ignore[index]
+        return SharedBatchLookup(plan.width, plan, self.generation)
 
     def overlay_arrays(self) -> _OverlayArrays:
         """The overlay embedded at export time (length, values) pairs."""

@@ -144,10 +144,16 @@ class _WorkerRuntime:
 
 
 def worker_main(worker_id: int, control_name: str, task_queue: Any,
-                result_queue: Any) -> int:
-    """The worker process entry point (module-level: spawn-safe)."""
+                result_queue: Any, parent_pid: int) -> int:
+    """The worker process entry point (module-level: spawn-safe).
+
+    ``parent_pid`` is the coordinator's pid, passed in by the spawning
+    side.  Reading ``os.getppid()`` here instead would race: a
+    coordinator killed while this process starts has already handed it
+    to the reaper, and the orphan check below would compare against
+    the reaper's pid forever.
+    """
     runtime = _WorkerRuntime(worker_id, ControlBlock.attach(control_name))
-    parent_pid = os.getppid()
     try:
         runtime.ensure_current()
         while True:

@@ -9,7 +9,10 @@ inclusive rank mask used to overflow uint64), spillover TCAM entries,
 update churn with recompiles, and dirty/purged maintenance states.  It
 also pins the plan's degraded paths (the unpacked gather, the true
 modulus), the compile-from-engine record lanes, the shard codec's
-export/attach round trip, and fault injection into fused records.
+export/attach round trip, fault injection into fused records, and the
+hazards of stacking every sub-cell into one plan: per-sub-cell bounds,
+a base-0 sub-cell at width 64, spillover in several sub-cells of one
+pass, and batch sizes on both sides of the pair budget.
 """
 
 import random
@@ -21,7 +24,9 @@ from hypothesis import strategies as st
 
 from repro.core import ChiselConfig, ChiselLPM
 from repro.core.batch import BatchLookup
-from repro.core.flatpath import RECORD_LANES, aligned_zeros
+from repro.core import flatpath
+from repro.core.flatpath import (PAIR_BUDGET, RECORD_LANES, RECORD_WIDTH,
+                                 aligned_zeros)
 from repro.faults.inject import FLAT_RECORD_KINDS, corrupt_record_word
 from repro.prefix import Prefix, RoutingTable
 from repro.workloads import synthetic_table
@@ -49,9 +54,9 @@ def build_engine(backend, table, seed=2006, stride=4):
 def shift_region_pointers(batch, delta):
     """Move every compiled Region pointer by ``delta`` (corruption)."""
     lane = RECORD_LANES["regionptr"]
-    for plan in batch._plans:
-        pointers = plan.records[:, lane].view(np.int64)
-        plan.records[:, lane] = (pointers + delta).view(np.uint64)
+    for cell in batch.plan.cell_views():
+        pointers = cell.records[:, lane].view(np.int64)
+        cell.records[:, lane] = (pointers + delta).view(np.uint64)
 
 
 def random_table(rng, width, routes):
@@ -308,7 +313,8 @@ class TestSpillover:
                 small_table, ChiselConfig(seed=16, index_backend=backend))
             assert self._spill_keys(engine, 6) >= 4
             batch = BatchLookup(engine)
-            assert sum(len(plan.spill_keys) for plan in batch._plans) >= 4
+            assert sum(len(cell.spill_keys)
+                       for cell in batch.plan.cell_views()) >= 4
             rng = random.Random(17)
             assert_batch_matches_scalar(engine, probe_keys(engine, rng),
                                         batch=batch)
@@ -398,16 +404,17 @@ class TestSpillover:
         table = synthetic_table(4_000, seed=17)
         engine = build_engine(backend, table, seed=17)
         batch = BatchLookup(engine)
-        spilled = [plan for plan in batch._plans if len(plan.spill_keys)]
+        spilled = [cell for cell in batch.plan.cell_views()
+                   if len(cell.spill_keys)]
         rng = random.Random(17)
         assert_batch_matches_scalar(engine, probe_keys(engine, rng, extra=300),
                                     batch=batch)
         # Aim keys straight at every spilled collapsed prefix.
         width = engine.config.width
         aimed = []
-        for plan in spilled:
-            free = width - plan.base
-            for collapsed in plan.spill_keys[:32]:
+        for cell in spilled:
+            free = width - cell.base
+            for collapsed in cell.spill_keys[:32]:
                 base_key = int(collapsed) << free
                 aimed.append(base_key)
                 aimed.append(base_key | rng.getrandbits(free)
@@ -471,13 +478,13 @@ class TestDegradedPaths:
     """The plan's fallbacks must stay bit-exact, not just the fast path."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unpacked_gather_fallback(self, backend):
+    def test_unpacked_gather_fallback(self, backend, monkeypatch):
         table = synthetic_table(900, seed=23)
         engine = build_engine(backend, table, seed=23)
+        monkeypatch.setattr(flatpath, "_PACK_BITS", 0)  # nothing packs
         batch = BatchLookup(engine)
-        for plan in batch._plans:
-            assert plan.fused.packed_tables is not None
-            plan.fused.packed_tables = None  # force the unpacked loop
+        assert batch.plan.flat_packed is None
+        assert batch.plan.hash_tables is not None
         assert_batch_matches_scalar(
             engine, probe_keys(engine, random.Random(23), extra=300),
             batch=batch)
@@ -487,9 +494,8 @@ class TestDegradedPaths:
         table = synthetic_table(900, seed=29)
         engine = build_engine(backend, table, seed=29)
         batch = BatchLookup(engine)
-        for plan in batch._plans:
-            assert plan.fused.condsub_ok
-            plan.fused.condsub_ok = False  # force np.mod
+        assert batch.plan.condsub_ok
+        batch.plan.condsub_ok = False  # force np.mod
         assert_batch_matches_scalar(
             engine, probe_keys(engine, random.Random(29), extra=300),
             batch=batch)
@@ -512,7 +518,7 @@ class TestCodecFlatRoundtrip:
         try:
             attached = SharedSnapshot.attach(segment.name)
             shared = attached.to_lookup()
-            assert len(shared._plans) == len(snapshot._plans)
+            assert shared.plan.cells == snapshot.plan.cells
             assert np.array_equal(shared.lookup_batch(keys),
                                   snapshot.lookup_batch(keys))
             assert_batch_matches_scalar(fib.engine, keys, batch=shared)
@@ -524,43 +530,223 @@ class TestCodecFlatRoundtrip:
 class TestRecordFaults:
     """Scrub/injection must locate words inside the fused records."""
 
-    def _plan_with_live_bucket(self):
+    def _live_bucket(self):
         table = synthetic_table(600, seed=47)
         engine = build_engine("bloomier", table, seed=47)
         batch = BatchLookup(engine)
-        for plan in batch._plans:
-            live = np.flatnonzero(
-                plan.records[:, RECORD_LANES["valid"]])
+        for index, cell in enumerate(batch.plan.cell_views()):
+            live = np.flatnonzero(cell.records[:, RECORD_LANES["valid"]])
             if live.size:
-                return engine, batch, plan, int(live[0])
+                return engine, batch, index, int(live[0])
         pytest.fail("no live bucket found")
 
     @pytest.mark.parametrize("kind", sorted(FLAT_RECORD_KINDS))
     def test_corrupt_record_word_flips_one_lane(self, kind):
-        _engine, _batch, plan, pointer = self._plan_with_live_bucket()
+        _engine, batch, cell, pointer = self._live_bucket()
+        plan = batch.plan
         before = plan.records.copy()
-        record = corrupt_record_word(plan, kind, pointer, bit=3)
+        record = corrupt_record_word(plan, cell, kind, pointer, bit=3)
         assert record.kind == kind
-        after = plan.records
-        changed = np.argwhere(before != after)
+        assert record.subcell_base == plan.cells[cell]["base"]
+        changed = np.argwhere(before != plan.records)
         assert len(changed) == 1
         row, lane = changed[0]
-        assert row == pointer
+        assert row == plan.row_base[cell, 0] + pointer
         assert lane == FLAT_RECORD_KINDS[kind]
 
     def test_dirty_corruption_changes_answers(self):
-        engine, batch, plan, pointer = self._plan_with_live_bucket()
+        engine, batch, cell, pointer = self._live_bucket()
         keys = probe_keys(engine, random.Random(47), extra=300)
         before = batch.lookup_batch(keys).copy()
-        corrupt_record_word(plan, "dirty", pointer)
+        corrupt_record_word(batch.plan, cell, "dirty", pointer)
         after = batch.lookup_batch(keys)
         assert not np.array_equal(before, after), \
             "invalidating a live bucket must change some answer"
 
     def test_unknown_kind_rejected(self):
-        _engine, _batch, plan, pointer = self._plan_with_live_bucket()
+        _engine, batch, cell, pointer = self._live_bucket()
         with pytest.raises(ValueError):
-            corrupt_record_word(plan, "index", pointer)
+            corrupt_record_word(batch.plan, cell, "index", pointer)
+
+    def test_pointer_past_own_capacity_rejected(self):
+        """A pointer is local to its sub-cell: one past the capacity
+        would address the neighbouring sub-cell's first row."""
+        _engine, batch, cell, _pointer = self._live_bucket()
+        capacity = batch.plan.cells[cell]["capacity"]
+        with pytest.raises(ValueError, match="outside"):
+            corrupt_record_word(batch.plan, cell, "filter", capacity)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fault_only_moves_keys_of_its_sub_cell(self, backend):
+        """Invalidating one record changes answers only for keys that
+        sub-cell served; every other key keeps its answer."""
+        table = synthetic_table(800, seed=48)
+        engine = build_engine(backend, table, seed=48)
+        keys = probe_keys(engine, random.Random(48), extra=300)
+        served_by = [engine.lookup_with_subcell(key)[1] for key in keys]
+        changed_cells = 0
+        for index, cell in enumerate(BatchLookup(engine).plan.cell_views()):
+            live = np.flatnonzero(cell.records[:, RECORD_LANES["valid"]])
+            if not live.size:
+                continue
+            batch = BatchLookup(engine)
+            before = batch.lookup_batch(keys).copy()
+            corrupt_record_word(batch.plan, index, "dirty", int(live[0]))
+            moved = np.flatnonzero(batch.lookup_batch(keys) != before)
+            assert all(served_by[key] == cell.base for key in moved), \
+                f"a fault in sub-cell /{cell.base} moved another's key"
+            changed_cells += bool(moved.size)
+        assert changed_cells >= 2
+
+
+class TestStackingHazards:
+    """Stacking every sub-cell into one plan must keep each sub-cell's
+    bounds its own, and the pass rule must not change any answer."""
+
+    @staticmethod
+    def _neighbour_poisoned(batch, cell, row=0):
+        """Make the next sub-cell's ``row`` a perfect record for nothing
+        in particular: valid, every expansion bit set, region 0."""
+        neighbour = batch.plan.cell_view(cell + 1)
+        neighbour.records[row, RECORD_LANES["valid"]] = 1
+        neighbour.records[row, RECORD_LANES["bitvector"]] = \
+            np.uint64(2 ** 64 - 1)
+        neighbour.records[row, RECORD_LANES["regionptr"]] = 0
+        return neighbour
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pointer_equal_to_capacity_misses(self, backend):
+        """A TCAM pointer equal to its own sub-cell's capacity is the
+        first row of the next sub-cell in the stack; it must miss."""
+        table = synthetic_table(900, seed=71)
+        engine = build_engine(backend, table, seed=71)
+        rng = random.Random(71)
+        cells = engine.subcells
+        aimed = []
+        for index, subcell in enumerate(cells[:-1]):
+            value = next((v for v in subcell.buckets if v), None)
+            if value is None:
+                continue
+            subcell.index.spillover.insert(value, subcell.capacity)
+            aimed.append((index, value,
+                          TestSpillover._aim_at(engine, subcell, value, rng)))
+        assert len(aimed) >= 2
+        batch = BatchLookup(engine)
+        for index, value, _keys in aimed:
+            neighbour = self._neighbour_poisoned(batch, index)
+            neighbour.records[0, RECORD_LANES["filter"]] = value
+        keys = [key for _index, _value, group in aimed for key in group]
+        assert_batch_matches_scalar(engine, keys, batch=batch)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_address_equal_to_arena_size_misses(self, backend):
+        """A Result address equal to its own sub-cell's arena size is the
+        next sub-cell's first arena entry; it must miss, exactly like
+        the same bucket marked invalid."""
+        table = synthetic_table(900, seed=73)
+        engine = build_engine(backend, table, seed=73)
+        rng = random.Random(73)
+        hazard, control = BatchLookup(engine), BatchLookup(engine)
+        keys = []
+        for index, subcell in enumerate(engine.subcells[:-1]):
+            cell = hazard.plan.cell_view(index)
+            live = np.flatnonzero(cell.records[:, RECORD_LANES["valid"]])
+            if not live.size or not len(cell.arena):
+                continue
+            pointer = int(live[0])
+            value = int(cell.records[pointer, RECORD_LANES["filter"]])
+            # Only expansion 0 with bit 0 set: rank 1, address = region.
+            cell.records[pointer, RECORD_LANES["bitvector"]] = 1
+            cell.records[pointer, RECORD_LANES["regionptr"]] = len(cell.arena)
+            corrupt_record_word(control.plan, index, "dirty", pointer)
+            free = engine.config.width - subcell.base
+            keys.append(value << free)
+            keys.extend(TestSpillover._aim_at(engine, subcell, value, rng))
+        assert len(keys) >= 4
+        for batch in (hazard, control):
+            for index in range(len(engine.subcells) - 1):
+                arena = batch.plan.cell_view(index + 1).arena
+                if len(arena):
+                    arena[0] = 4242  # a hop no route uses
+        assert np.array_equal(hazard.lookup_batch(keys),
+                              control.lookup_batch(keys))
+        assert 4242 not in hazard.lookup_batch(keys)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_width64_base0_subcell(self, backend):
+        """``key >> 64`` is undefined in numpy: the base-0 sub-cell of a
+        width-64 engine must still collapse every key to 0."""
+        rng = random.Random(640)
+        table = RoutingTable(width=64)
+        table.add(Prefix(0, 0, 64), 9)  # the default route
+        for length in (1, 3, 5, 7, 13, 40, 64):
+            for _ in range(5):
+                table.add(Prefix(rng.getrandbits(length), length, 64),
+                          rng.randint(10, 200))
+        engine = ChiselLPM.build(table, ChiselConfig(
+            width=64, stride=6, seed=64, index_backend=backend))
+        assert any(cell.base == 0 for cell in engine.subcells)
+        keys = probe_keys(engine, rng, extra=200)
+        keys += [0, 2 ** 64 - 1, 2 ** 63, 2 ** 63 - 1]
+        answers = assert_batch_matches_scalar(engine, keys).lookup_batch(keys)
+        assert (answers != -1).all(), "the default route covers every key"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_spillover_in_several_sub_cells_of_one_pass(self, backend,
+                                                        small_table,
+                                                        monkeypatch):
+        engine = build_engine(backend, small_table, seed=77)
+        assert TestSpillover._spill_keys(engine, 8) >= 4
+        batch = BatchLookup(engine)
+        spilled = [cell for cell in batch.plan.cell_views()
+                   if len(cell.spill_keys)]
+        assert len(spilled) >= 2
+        rng = random.Random(77)
+        keys = [key for cell in spilled
+                for value in cell.spill_keys
+                for key in TestSpillover._aim_at(
+                    engine, cell, int(value), rng)]
+        keys = (keys + probe_keys(engine, rng, extra=64))[:64]
+        passes = self._record_passes(monkeypatch)
+        assert_batch_matches_scalar(engine, keys, batch=batch)
+        assert passes == [(0, len(engine.subcells), 64)]
+
+    @staticmethod
+    def _record_passes(monkeypatch):
+        passes = []
+        real = flatpath.StackedPlan._pass
+
+        def spy(plan, keys, first, last, pool):
+            passes.append((first, last, keys.size))
+            return real(plan, keys, first, last, pool)
+
+        monkeypatch.setattr(flatpath.StackedPlan, "_pass", spy)
+        return passes
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("size", ["0", "1", "64", "under", "over",
+                                      "20000"])
+    def test_batch_sizes_around_the_pair_budget(self, backend, size,
+                                                monkeypatch):
+        table = synthetic_table(1_500, seed=79)
+        engine = build_engine(backend, table, seed=79)
+        cells = len(engine.subcells)
+        count = {"under": PAIR_BUDGET // cells,
+                 "over": PAIR_BUDGET // cells + 1}.get(size) or int(size)
+        pool = probe_keys(engine, random.Random(79), extra=500)
+        keys = [pool[index % len(pool)] for index in range(count)]
+        passes = self._record_passes(monkeypatch)
+        assert_batch_matches_scalar(engine, keys)
+        if count and count * cells <= PAIR_BUDGET:
+            assert passes == [(0, cells, count)]  # one pass, every sub-cell
+        elif count:
+            assert passes[0][1] - passes[0][0] < cells
+            # Each pass stays within the budget (or probes one sub-cell),
+            # and only keys no earlier pass resolved go on.
+            assert all((last - first) * size <= PAIR_BUDGET
+                       or last - first == 1 for first, last, size in passes)
+            assert [size for _first, _last, size in passes] == sorted(
+                (size for _first, _last, size in passes), reverse=True)
 
 
 class TestFlatLayoutPrimitives:
@@ -571,11 +757,14 @@ class TestFlatLayoutPrimitives:
             assert not array.any()
 
     def test_record_rows_are_one_cache_line(self):
+        """32-byte rows from a line-aligned base: a row never straddles
+        two cache lines (two rows share one)."""
         table = synthetic_table(200, seed=53)
         engine = build_engine("bloomier", table, seed=53)
-        for plan in BatchLookup(engine)._plans:
-            assert plan.records.strides[0] == 64
-            assert plan.records.ctypes.data % 64 == 0
+        records = BatchLookup(engine).plan.records
+        assert records.strides[0] == 8 * RECORD_WIDTH == 32
+        assert 64 % records.strides[0] == 0
+        assert records.ctypes.data % 64 == 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_record_lanes_match_subcell_tables(self, backend):
@@ -588,10 +777,11 @@ class TestFlatLayoutPrimitives:
             engine.withdraw(prefix)
         assert engine.dirty_count() > 0
         batch = BatchLookup(engine)
-        assert len(batch._plans) == len(engine.subcells)
-        for plan, subcell in zip(batch._plans, engine.subcells):
-            assert (plan.base, plan.span) == (subcell.base, subcell.span)
-            records = plan.records
+        views = batch.plan.cell_views()
+        assert len(views) == len(engine.subcells)
+        for cell, subcell in zip(views, engine.subcells):
+            assert (cell.base, cell.span) == (subcell.base, subcell.span)
+            records = cell.records
             assert records[:, RECORD_LANES["filter"]].tolist() == [
                 0 if value is None else value
                 for value in subcell.filter_table]
@@ -603,18 +793,18 @@ class TestFlatLayoutPrimitives:
                 list(subcell.bv_table)
             assert records[:, RECORD_LANES["regionptr"]].view(
                 np.int64).tolist() == list(subcell.region_ptr)
+            assert cell.arena.tolist() == list(subcell.result.arena)
 
     def test_packed_layout_active_on_standard_builds(self):
         for backend in BACKENDS:
             table = synthetic_table(400, seed=61)
             engine = build_engine(backend, table, seed=61)
-            for plan in BatchLookup(engine)._plans:
-                fused = plan.fused
-                assert fused.packed_tables is not None
-                assert fused.condsub_ok
-                assert len(fused.packed_shifts) == fused.num_hashes
-                if backend == "fuse":
-                    assert fused.packed_start_shift is not None
+            plan = BatchLookup(engine).plan
+            assert plan.flat_packed is not None
+            assert plan.condsub_ok
+            assert len(plan.packed_shifts) == plan.num_hashes
+            if backend == "fuse":
+                assert plan.start_shift is not None
 
 
 # -- hypothesis: arbitrary tables, widths <= 64 ------------------------------

@@ -48,6 +48,7 @@ def healthy_reports():
         "flat_bench.json": {
             "flat_klookups_per_sec": 2000.0,
             "flat_vs_scalar": 35.0,
+            "flat64_vs_scalar": 12.0,
         },
         "store_bench.json": {
             "coldstart_speedup": 2.3,
@@ -171,6 +172,22 @@ class TestFloorChecks:
     def test_ratio_at_floor_passes(self):
         currents = healthy_reports()
         currents["flat_bench.json"]["flat_vs_scalar"] = 24.1
+        assert regress.compare_reports(healthy_reports(),
+                                       currents)["passed"]
+
+    def test_small_batch_ratio_below_floor_fails(self):
+        """A 64-key batch at the per-sub-cell loop's ratio (2.0x the
+        scalar path) fails the flat64_vs_scalar floor."""
+        currents = healthy_reports()
+        currents["flat_bench.json"]["flat64_vs_scalar"] = 2.0
+        report = regress.compare_reports(healthy_reports(), currents)
+        assert not report["passed"]
+        assert any("flat64_vs_scalar" in failure and "floor" in failure
+                   for failure in report["failures"]), report["failures"]
+
+    def test_small_batch_ratio_at_floor_passes(self):
+        currents = healthy_reports()
+        currents["flat_bench.json"]["flat64_vs_scalar"] = 4.03
         assert regress.compare_reports(healthy_reports(),
                                        currents)["passed"]
 

@@ -262,3 +262,35 @@ def test_report_failure_shape():
     report = ReplicateReport(failures=["x"])
     assert not report.ok
     assert report.to_dict()["ok"] is False
+
+
+_REPLICA_SCRIPT = """
+import os, signal
+from repro.core.config import ChiselConfig
+from repro.replicate import ReplicaHandle
+from repro.workloads.synthetic import synthetic_table
+
+handle = ReplicaHandle(0, {port}, synthetic_table(120, seed=17),
+                       ChiselConfig(), {directory!r}, 0.1, 0.25)
+handle.spawn()
+print(handle.process.pid, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_replica_of_a_killed_harness_exits(tmp_path):
+    """A harness SIGKILLed right after spawning a replica leaves it
+    orphaned before it has booted; it must exit within a few orphan
+    polls instead of retrying the dead writer for its whole connect
+    deadline."""
+    from repro.replicate.replica import _ORPHAN_POLL_SECONDS
+    from tests.test_shard_lifecycle import assert_orphans_exit, run_script
+
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    _pid, returncode, stdout = run_script(_REPLICA_SCRIPT.format(
+        port=port, directory=str(tmp_path / "replica")))
+    assert returncode == -9
+    assert_orphans_exit([int(stdout.split()[0])],
+                        within=3 * _ORPHAN_POLL_SECONDS)

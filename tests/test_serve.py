@@ -111,8 +111,7 @@ class TestServingCorrectness:
         # Corrupt the snapshot's Result-Table copy: divergence must raise.
         hits = router.lookup_batch(keys)
         assert (hits != -1).any()
-        for plan in router._snapshot._plans:
-            plan.arena = plan.arena + 7
+        router._snapshot.plan.arena[:-1] += 7  # all but the miss sentinel
         with pytest.raises(AssertionError):
             router.verify_sample(keys)
 

@@ -21,6 +21,8 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
 
@@ -35,7 +37,7 @@ from repro.shard.names import (
     reap_stale_segments,
     segment_name,
 )
-from repro.shard.worker import _WorkerRuntime
+from repro.shard.worker import _ORPHAN_POLL_SECONDS, _WorkerRuntime
 from repro.workloads import synthetic_table
 
 SHM_DIR = "/dev/shm"
@@ -87,22 +89,69 @@ coordinator = ShardCoordinator(SnapshotRouter(fib), workers=1)
 """
 
 
-def run_coordinator_subprocess(ending):
+def run_script(script):
+    """Run ``script`` in a fresh interpreter; (pid, returncode, stdout).
+
+    Waits for the interpreter only: its stdout is a file, not a pipe,
+    so children that inherited it cannot hold the wait open.
+    """
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(src)
-    process = subprocess.Popen(
-        [sys.executable, "-c", _COORDINATOR_SCRIPT.format(ending=ending)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    with tempfile.TemporaryFile("w+") as stdout:
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], env=env,
+            stdout=stdout, stderr=subprocess.DEVNULL,
+        )
+        try:
+            process.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+            raise
+        stdout.seek(0)
+        return process.pid, process.returncode, stdout.read()
+
+
+def run_coordinator_subprocess(ending):
+    pid, returncode, _stdout = run_script(
+        _COORDINATOR_SCRIPT.format(ending=ending))
+    return pid, returncode
+
+
+def _running(pid):
+    """Whether ``pid`` is still executing (a zombie counts as exited)."""
     try:
-        returncode = process.wait(timeout=120)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        process.wait()
-        raise
-    return process.pid, returncode
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return state != "Z"
+
+
+def assert_orphans_exit(pids, within):
+    """Every pid exits within ``within`` seconds; survivors are killed
+    (so a failing run leaves nothing behind) and named."""
+    deadline = time.monotonic() + within
+    alive = set(pids)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = {pid for pid in alive if _running(pid)}
+    for pid in alive:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert not alive, (
+        f"orphaned processes {sorted(alive)} still ran {within:.1f} s "
+        f"after their owner was killed")
 
 
 class TestNames:
@@ -147,15 +196,22 @@ class TestCoordinatorLifecycle:
 
     def test_killed_coordinator_is_reaped_on_next_start(self):
         """A SIGKILLed coordinator leaves segments; the next coordinator
-        start (or an explicit reap) removes them by dead-pid scan."""
-        pid, returncode = run_coordinator_subprocess(
-            "os.kill(os.getpid(), signal.SIGKILL)")
+        start (or an explicit reap) removes them by dead-pid scan.  Its
+        workers notice they were orphaned and exit within a few orphan
+        polls, even when the kill lands while they are still starting
+        (before they could have read their parent's pid themselves)."""
+        pid, returncode, stdout = run_script(_COORDINATOR_SCRIPT.format(
+            ending="print(*[p.pid for p in coordinator._processes], "
+                   "flush=True)\nos.kill(os.getpid(), signal.SIGKILL)"))
         assert returncode == -signal.SIGKILL
+        workers = [int(word) for word in stdout.split()]
+        assert workers
         stranded = our_segments(pid)
         assert stranded, "the killed coordinator should strand segments"
         removed = reap_stale_segments()
         assert set(stranded) <= set(removed)
         assert our_segments(pid) == []
+        assert_orphans_exit(workers, within=4 * _ORPHAN_POLL_SECONDS)
 
     def test_atexit_cleanup_on_interpreter_exit(self):
         """A coordinator alive at normal interpreter exit is closed by

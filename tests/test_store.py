@@ -431,10 +431,41 @@ def _legacy_layout(lookup, overlay):
     return tables, meta
 
 
+def _per_subcell_flat_layout(lookup, overlay):
+    """A hand-built image in the retired per-sub-cell ``"flat"`` layout.
+
+    Before the stacked plan, every sub-cell exported its own array set
+    (``s<i>/checksum``, ``s<i>/fused/...``, ``s<i>/records``, ...) and
+    carried ``"layout": "flat"`` in its own metadata.
+    """
+    meta = {
+        "width": lookup.width,
+        "subcells": [{
+            "layout": "flat", "base": 24, "span": 4, "capacity": 2,
+            "partitions": 1, "arena_size": 1, "index_kind": "xor",
+            "num_hashes": 3, "num_bytes": 3, "num_groups": 1,
+        }],
+        "overlay_lengths": [],
+    }
+    tables = [
+        ("s0/checksum", np.zeros((3, 256), dtype=np.uint64)),
+        ("s0/fused/hash_tables", np.zeros((3, 3, 256), dtype=np.uint64)),
+        ("s0/fused/table", np.zeros(12, dtype=np.uint64)),
+        ("s0/fused/offsets", np.zeros(1, dtype=np.uint64)),
+        ("s0/fused/segments", np.full(1, 4, dtype=np.uint64)),
+        ("s0/records", np.zeros((2, 8), dtype=np.uint64)),
+        ("s0/arena", np.zeros(1, dtype=np.int64)),
+        ("s0/spill_keys", np.zeros(0, dtype=np.uint64)),
+        ("s0/spill_values", np.zeros(0, dtype=np.uint64)),
+    ]
+    return tables, meta
+
+
 class TestNonFlatLayoutRefused:
-    """An image whose sub-cells are not in the flat layout fails
-    verification (and so recovery falls back), instead of passing it
-    and crashing ``to_lookup`` with a bare KeyError."""
+    """An image in any layout but the stacked one (the retired
+    per-table and per-sub-cell ``"flat"`` layouts) fails verification,
+    and so recovery falls back, instead of passing it and crashing
+    ``to_lookup`` with a bare KeyError."""
 
     def test_shared_segment_attach_refuses(self, monkeypatch):
         from repro.shard import codec
@@ -457,6 +488,35 @@ class TestNonFlatLayoutRefused:
         _table, router = build_router(size=80)
         with monkeypatch.context() as patch:
             patch.setattr(codec, "_flatten", _legacy_layout)
+            store = SnapshotStore.create(store_dir, router)
+            store.close()
+        [generation] = list_generations(store_dir)
+        with pytest.raises(CheckpointCorruptError, match="layout"):
+            load_checkpoint(checkpoint_path(store_dir, generation))
+        with pytest.raises(RecoveryError, match="layout"):
+            cold_start(store_dir, retries=1, backoff=0.0)
+
+    def test_per_subcell_flat_segment_refused(self, monkeypatch):
+        from repro.shard import codec
+
+        _table, router = build_router(size=80)
+        snapshot, overlay, _blob, _healthy = router.persistence_cut()
+        monkeypatch.setattr(codec, "_flatten", _per_subcell_flat_layout)
+        segment = codec.SharedSnapshot.export(snapshot, overlay, 1)
+        try:
+            with pytest.raises(codec.SnapshotIntegrityError,
+                               match="layout"):
+                codec.SharedSnapshot.attach(segment.name)
+        finally:
+            segment.retire()
+
+    def test_per_subcell_flat_checkpoint_refused(self, store_dir,
+                                                 monkeypatch):
+        from repro.shard import codec
+
+        _table, router = build_router(size=80)
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "_flatten", _per_subcell_flat_layout)
             store = SnapshotStore.create(store_dir, router)
             store.close()
         [generation] = list_generations(store_dir)
